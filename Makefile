@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-quick cover bench bench-quick bench-json bench-train-json bench-check experiments fuzz fuzz-smoke chaos fleet-smoke replica-smoke train-smoke examples serve-demo lint lint-sarif metrics-lint bench-metrics clean
+.PHONY: all build vet test test-cpu race race-quick cover bench bench-quick bench-json bench-train-json bench-check experiments fuzz fuzz-smoke chaos fleet-smoke replica-smoke train-smoke examples serve-demo lint lint-sarif metrics-lint bench-metrics clean
 
 # Tier-1 flow: build, vet, tests, the full race-detector pass, and the
 # static-analysis suite, so the concurrency contracts (Snapshot serving,
@@ -18,6 +18,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Core count as a test dimension: the packages whose paths branch on
+# GOMAXPROCS (worker clamping, the row fan-out, the coalescer) rerun at
+# 1, 2 and 4 Go processors, so a multi-core-only failure shows on any box.
+test-cpu:
+	$(GO) test -count=1 -cpu 1,2,4 . ./internal/core/ ./internal/encoding/
 
 race:
 	$(GO) test -race ./...
@@ -42,7 +48,7 @@ bench-quick:
 # (bench_kernels_test.go) and writes BENCH_kernels.json with ns/op plus
 # baseline→optimized speedups. See docs/PERFORMANCE.md.
 bench-json:
-	$(GO) test -run xxx -bench 'Project$$|Encode$$|EncodeBatch$$|SimilarityK$$|EnginePredict$$|EnginePredictCoalesce$$' -benchtime=1s -count=3 . \
+	$(GO) test -run xxx -bench 'Project$$|Encode$$|SimilarityK$$|EnginePredict$$|EnginePredictCoalesce$$' -benchtime=1s -count=3 . \
 		| $(GO) run ./cmd/reghd-benchjson -o BENCH_kernels.json
 
 # Sharded-training before/after record: runs the FitParallel serial-vs-N
@@ -54,9 +60,9 @@ bench-train-json:
 	$(GO) test -run xxx -bench 'FitParallel$$' -benchtime=2x -count=3 . \
 		| $(GO) run ./cmd/reghd-benchjson -tolerance 0.95 -o BENCH_train.json
 
-# Regression gate: rerun the two kernel pairs this repo once shipped slow
-# (batch encode, k-way Hamming) and fail if any optimized lane measures
-# slower than its baseline, plus the 1-worker FitParallel parity pair at a
+# Regression gate: rerun the k-way similarity pairs (the k-way Hamming
+# kernel once shipped slow) and fail if any optimized lane measures slower
+# than its baseline, plus the 1-worker FitParallel parity pair at a
 # 0.95 tolerance (orchestration overhead must stay within noise; multi-
 # worker pairs are excluded because on a 1-core runner they sit at parity
 # by design — see docs/TRAINING.md). Short benchtime — this is a smoke
@@ -64,7 +70,7 @@ bench-train-json:
 # machines it sits at parity by design (see docs/PERFORMANCE.md) and would
 # flake.
 bench-check:
-	$(GO) test -run xxx -bench 'EncodeBatch$$|SimilarityK$$' -benchtime=0.3s -count=2 . \
+	$(GO) test -run xxx -bench 'SimilarityK$$' -benchtime=0.3s -count=2 . \
 		| $(GO) run ./cmd/reghd-benchjson -fail-on-regression -o -
 	$(GO) test -run xxx -bench 'FitParallel/.*_w1$$' -benchtime=2x -count=3 . \
 		| $(GO) run ./cmd/reghd-benchjson -fail-on-regression -tolerance 0.95 -o -

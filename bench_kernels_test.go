@@ -151,72 +151,6 @@ func BenchmarkEncode(b *testing.B) {
 	})
 }
 
-// BenchmarkEncodeBatch measures the 256-row batch encode path.
-//
-// The "serial" lane replicates the pre-fix batch loop inline (the
-// BenchmarkEncode "naive" precedent): a fresh D-length allocation per row
-// and separate nonlinearize and quantize passes, one row at a time. The
-// "parallel" lane runs the fixed EncodeBatchParallel — one contiguous
-// output slab, fused nonlinearize+quantize, rows fanned over GOMAXPROCS
-// workers — so the recorded speedup spans the whole fix. On a single core
-// the fusion alone wins ~1.2×; the worker fan-out adds its multiple only
-// with ≥2 cores (see docs/PERFORMANCE.md "Flat spots").
-func BenchmarkEncodeBatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(24))
-	xs := make([][]float64, 256)
-	for i := range xs {
-		row := make([]float64, benchFeats)
-		for j := range row {
-			row[j] = rng.NormFloat64()
-		}
-		xs[i] = row
-	}
-	b.Run("serial-256rows-n32-D4096", func(b *testing.B) {
-		m, _ := benchSigns()
-		sm, ok := hdc.PackSignsFlat(m, benchFeats, benchDim)
-		if !ok {
-			b.Fatal("pack failed")
-		}
-		prng := rand.New(rand.NewSource(22))
-		bias := make([]float64, benchDim)
-		center := make([]float64, benchDim)
-		for j := range bias {
-			bias[j] = prng.Float64() * 2 * math.Pi
-			center[j] = -math.Sin(bias[j]) / 2
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			out := make([]hdc.Vector, len(xs))
-			for r, x := range xs {
-				h := make(hdc.Vector, benchDim)
-				sm.ProjectAccum(nil, h, x)
-				for j, p := range h {
-					h[j] = 0.5*math.Sin(2*p+bias[j]) + center[j]
-				}
-				for j, v := range h {
-					if v >= center[j] {
-						h[j] = 1
-					} else {
-						h[j] = -1
-					}
-				}
-				out[r] = h
-			}
-		}
-	})
-	b.Run("parallel-256rows-n32-D4096", func(b *testing.B) {
-		enc := benchEncoder(b, encoding.ProjBipolar)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := enc.EncodeBatchParallel(nil, xs, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkSimilarityK measures the k-way cluster similarity stage (k=8,
 // the paper's default model count): the per-cluster kernel loop against
 // the fused kernel that reads the query once for all clusters.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"reghd/internal/encoding"
 	"reghd/internal/hdc"
@@ -98,7 +97,8 @@ type Model struct {
 	InferCounter *hdc.Counter
 
 	// Stages, when non-nil, accumulates per-stage wall time
-	// (encode/similarity/readout) for every Predict call. StageTimes
+	// (encode/similarity/readout) for every prediction, batch rows
+	// included. StageTimes
 	// records atomically, so it does not affect Predict*'s concurrency
 	// safety — but install it before serving begins, not concurrently with
 	// predictions.
@@ -335,27 +335,19 @@ func (p *params) trainModelDot(ctr *hdc.Counter, e encoded, i int) float64 {
 	return hdc.DotBinaryDense(ctr, e.packed, p.models[i]) / d
 }
 
-// predictWith runs the prediction pipeline of Fig. 4 against the Model's
-// shared training scratch. It leaves the similarities/confidences in
-// m.sims/m.conf for the training update, so it must only be called from
-// single-writer training paths (predictTraining, RefreshShadows,
-// calibrate).
-func (m *Model) predictWith(ctr *hdc.Counter, e encoded, dot func(*hdc.Counter, encoded, int) float64) float64 {
-	return m.predictWithScratch(ctr, e, dot, m.sims, m.conf)
-}
-
-// predictWithScratch runs the prediction pipeline of Fig. 4 with the
-// supplied per-model dot kernel over caller-supplied similarity and
-// confidence buffers: cluster similarity search, softmax normalization, and
-// the confidence-weighted accumulation of all per-model outputs (Eq. 6).
-// With private buffers it is safe to run concurrently against frozen
-// params.
-func (p *params) predictWithScratch(ctr *hdc.Counter, e encoded, dot func(*hdc.Counter, encoded, int) float64, sims, conf []float64) float64 {
+// mixture runs Eqs. 5-6 of Fig. 4 on an encoded query with the supplied
+// per-model dot kernel: cluster similarity and softmax into sims/conf (k>1
+// only), then the confidence-weighted sum of every per-model output. The
+// deployment path passes modelDot over pooled scratch; training passes
+// trainModelDot or modelDot over the Model's shared sims/conf, which the
+// subsequent update reads.
+func (p *params) mixture(ctr *hdc.Counter, e encoded, dot func(*hdc.Counter, encoded, int) float64, sims, conf []float64, clk *stageClock) float64 {
 	if p.cfg.Models == 1 {
 		return dot(ctr, e, 0)
 	}
 	p.clusterSimilaritiesInto(ctr, e, sims)
 	hdc.Softmax(ctr, conf, sims, p.cfg.SoftmaxBeta)
+	clk.lap(StageSimilarity)
 	var y float64
 	for i := range p.models {
 		y += conf[i] * dot(ctr, e, i)
@@ -365,67 +357,36 @@ func (p *params) predictWithScratch(ctr *hdc.Counter, e encoded, dot func(*hdc.C
 	return y
 }
 
-// predictEncoded is the deployment prediction path (Eq. 6 plus the output
-// calibration of binary-model modes) over caller-supplied scratch.
-func (p *params) predictEncoded(ctr *hdc.Counter, e encoded, sims, conf []float64) float64 {
-	y := p.predictWithScratch(ctr, e, p.modelDot, sims, conf)
-	if p.cfg.PredictMode.UsesBinaryModel() {
-		y = p.calibA*y + p.calibB
-		ctr.Add(hdc.OpFloatMul, 1)
-		ctr.Add(hdc.OpFloatAdd, 1)
-	}
-	return y
-}
-
-// predictTraining is the training-time prediction path (integer model). It
-// fills the shared m.sims/m.conf for the subsequent update.
+// predictTraining is the training-time prediction (integer model). It
+// fills the shared m.sims/m.conf for the subsequent update, so only
+// single-writer training paths may call it.
 func (m *Model) predictTraining(ctr *hdc.Counter, e encoded) float64 {
-	return m.predictWith(ctr, e, m.trainModelDot)
+	return m.mixture(ctr, e, m.trainModelDot, m.sims, m.conf, nil)
 }
 
-// encodeStaged is encodeScratch with the wall time recorded as StageEncode.
-func (p *params) encodeStaged(ctr *hdc.Counter, x []float64, sc *scratch, st *StageTimes) (encoded, error) {
-	//lint:nondeterm wall-clock telemetry: stage timing feeds StageTimes metrics only
-	t0 := time.Now()
+// predictRow is the one deployment prediction path, shared by Model and
+// Snapshot: encode x into sc, Eq. 5 similarity and softmax, Eq. 6 readout,
+// then the output calibration of binary-model modes. A non-nil st receives
+// the wall time of each stage; encode is recorded only when it succeeds.
+func (p *params) predictRow(ctr *hdc.Counter, x []float64, sc *scratch, st *StageTimes) (float64, error) {
+	var clk *stageClock
+	if st != nil {
+		clk = &stageClock{st: st}
+		clk.read() // opens the encode interval
+	}
 	e, err := p.encodeScratch(ctr, x, sc)
-	if err == nil {
-		//lint:nondeterm wall-clock telemetry: stage timing feeds StageTimes metrics only
-		st.Observe(StageEncode, time.Since(t0))
+	if err != nil {
+		return 0, err
 	}
-	return e, err
-}
-
-// predictStaged is predictEncoded with the similarity search and the
-// readout timed as separate stages. It must stay behaviorally identical to
-// predictEncoded/predictWithScratch (same kernels, same op-count charges);
-// only the timestamps differ.
-func (p *params) predictStaged(ctr *hdc.Counter, e encoded, sims, conf []float64, st *StageTimes) float64 {
-	var y float64
-	//lint:nondeterm wall-clock telemetry: stage timing feeds StageTimes metrics only
-	t0 := time.Now()
-	if p.cfg.Models == 1 {
-		y = p.modelDot(ctr, e, 0)
-	} else {
-		p.clusterSimilaritiesInto(ctr, e, sims)
-		hdc.Softmax(ctr, conf, sims, p.cfg.SoftmaxBeta)
-		//lint:nondeterm wall-clock telemetry: stage timing feeds StageTimes metrics only
-		t1 := time.Now()
-		st.Observe(StageSimilarity, t1.Sub(t0))
-		t0 = t1
-		for i := range p.models {
-			y += conf[i] * p.modelDot(ctr, e, i)
-		}
-		ctr.Add(hdc.OpFloatMul, uint64(p.cfg.Models))
-		ctr.Add(hdc.OpFloatAdd, uint64(p.cfg.Models))
-	}
+	clk.lap(StageEncode)
+	y := p.mixture(ctr, e, p.modelDot, sc.sims, sc.conf, clk)
 	if p.cfg.PredictMode.UsesBinaryModel() {
 		y = p.calibA*y + p.calibB
 		ctr.Add(hdc.OpFloatMul, 1)
 		ctr.Add(hdc.OpFloatAdd, 1)
 	}
-	//lint:nondeterm wall-clock telemetry: stage timing feeds StageTimes metrics only
-	st.Observe(StageReadout, time.Since(t0))
-	return y
+	clk.lap(StageReadout)
+	return y, nil
 }
 
 // Predict returns the model's regression output for the feature vector x.
@@ -433,33 +394,14 @@ func (m *Model) Predict(x []float64) (float64, error) {
 	if !m.trained {
 		return 0, ErrNotTrained
 	}
-	s := m.scratch.get()
-	defer m.scratch.put(s)
-	if st := m.Stages; st != nil {
-		e, err := m.encodeStaged(m.InferCounter, x, s, st)
-		if err != nil {
-			return 0, err
-		}
-		return m.predictStaged(m.InferCounter, e, s.sims, s.conf, st), nil
-	}
-	e, err := m.encodeScratch(m.InferCounter, x, s)
-	if err != nil {
-		return 0, err
-	}
-	return m.predictEncoded(m.InferCounter, e, s.sims, s.conf), nil
+	sc := m.scratch.get()
+	defer m.scratch.put(sc)
+	return m.predictRow(m.InferCounter, x, sc, m.Stages)
 }
 
-// PredictBatch returns predictions for each row of xs.
+// PredictBatch returns predictions for each row of xs, serially.
 func (m *Model) PredictBatch(xs [][]float64) ([]float64, error) {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		y, err := m.Predict(x)
-		if err != nil {
-			return nil, fmt.Errorf("core: predicting row %d: %w", i, err)
-		}
-		out[i] = y
-	}
-	return out, nil
+	return m.PredictBatchParallel(xs, 1)
 }
 
 // refreshBinaryShadows re-quantizes the binary copies from the integer

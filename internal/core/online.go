@@ -51,25 +51,14 @@ func (m *Model) RefreshShadows(xs [][]float64, ys []float64) error {
 	if len(xs) != len(ys) {
 		return hdc.ErrDimensionMismatch
 	}
-	var sp, sy, spp, spy, cnt float64
+	var fit calibFit
 	for i, x := range xs {
 		e, err := m.encode(m.TrainCounter, x)
 		if err != nil {
 			return err
 		}
-		p := m.predictWith(m.TrainCounter, e, m.modelDot)
-		sp += p
-		sy += ys[i]
-		spp += p * p
-		spy += p * ys[i]
-		cnt++
+		fit.add(m.mixture(m.TrainCounter, e, m.modelDot, m.sims, m.conf, nil), ys[i])
 	}
-	varP := spp/cnt - (sp/cnt)*(sp/cnt)
-	if varP < 1e-12 {
-		m.calibA, m.calibB = 1, sy/cnt
-		return nil
-	}
-	m.calibA = (spy/cnt - sp/cnt*sy/cnt) / varP
-	m.calibB = sy/cnt - m.calibA*sp/cnt
+	m.calibA, m.calibB = fit.solve()
 	return nil
 }

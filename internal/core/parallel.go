@@ -41,28 +41,26 @@ func clampWorkers(workers, n int) int {
 	return workers
 }
 
-// forEachRowParallel splits [0, n) into contiguous per-worker chunks and
-// applies fn to every index; each worker stops its chunk at its first
-// error. It returns the error of the lowest failing row index. With one
-// worker (or one item) it runs inline.
-func forEachRowParallel(n, workers int, fn func(i int) error) error {
-	return forEachRowParallelCtx(context.Background(), n, workers, fn)
-}
-
-// forEachRowParallelCtx is forEachRowParallel with per-row cancellation:
-// every worker checks ctx before each row, so a deadline or cancellation
+// forEachRowParallelCtx is the one row fan-out: it splits [0, n) into
+// contiguous per-worker chunks and calls fn(worker, row) for every row, so
+// callers can keep per-worker state (scratch, op counters) indexed by
+// worker. Each worker stops its chunk at its first error, and the error of
+// the lowest failing row is returned. With one worker (or one row) it runs
+// inline as worker 0.
+//
+// Every worker checks ctx before each row, so a deadline or cancellation
 // stops the batch at row granularity instead of running it to completion.
 // The reported error for a cancelled row wraps ctx.Err(). The background
 // context's Err is a constant nil, so the uncancellable path pays only a
 // dynamic method call per row — noise against a D-dimensional prediction.
-func forEachRowParallelCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
+func forEachRowParallelCtx(ctx context.Context, n, workers int, fn func(worker, row int) error) error {
 	workers = clampWorkers(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("core: row %d cancelled: %w", i, err)
 			}
-			if err := fn(i); err != nil {
+			if err := fn(0, i); err != nil {
 				return err
 			}
 		}
@@ -88,7 +86,7 @@ func forEachRowParallelCtx(ctx context.Context, n, workers int, fn func(i int) e
 					errs[w] = rowErr{row: i, err: fmt.Errorf("core: row %d cancelled: %w", i, err)}
 					return
 				}
-				if err := fn(i); err != nil {
+				if err := fn(w, i); err != nil {
 					errs[w] = rowErr{row: i, err: err}
 					return
 				}
@@ -99,10 +97,25 @@ func forEachRowParallelCtx(ctx context.Context, n, workers int, fn func(i int) e
 	return firstRowErr(errs)
 }
 
+// workerCounters returns one private op counter per worker of a fan-out
+// that charges into total, or nil entries when total is nil (counting
+// off): workers never share a plain Counter, and the caller adds theirs
+// into total afterwards.
+func workerCounters(total *hdc.Counter, workers int) []*hdc.Counter {
+	ctrs := make([]*hdc.Counter, workers)
+	if total != nil {
+		for w := range ctrs {
+			ctrs[w] = &hdc.Counter{}
+		}
+	}
+	return ctrs
+}
+
 // PredictBatchParallel predicts every row of xs using the given number of
 // worker goroutines (0 means GOMAXPROCS). Prediction only reads model
 // state, so workers share the model and carry private pooled scratch —
 // the data parallelism the paper highlights as inherent to HD computing.
+// Every row runs the same per-row path as Predict, stage timing included.
 // Operation counting is aggregated across workers into InferCounter, on
 // both the success and the failure path, so instrumentation stays
 // consistent with the work actually performed; on error the failure with
@@ -112,50 +125,24 @@ func (m *Model) PredictBatchParallel(xs [][]float64, workers int) ([]float64, er
 		return nil, ErrNotTrained
 	}
 	workers = clampWorkers(workers, len(xs))
-	if workers <= 1 {
-		return m.PredictBatch(xs)
-	}
+	ctrs := workerCounters(m.InferCounter, workers)
 	out := make([]float64, len(xs))
-	errs := make([]rowErr, workers)
-	counters := make([]*hdc.Counter, workers)
-	var wg sync.WaitGroup
-	chunk := (len(xs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(xs) {
-			hi = len(xs)
+	err := forEachRowParallelCtx(context.Background(), len(xs), workers, func(w, i int) error {
+		sc := m.scratch.get()
+		y, err := m.predictRow(ctrs[w], xs[i], sc, m.Stages)
+		m.scratch.put(sc)
+		if err != nil {
+			return fmt.Errorf("core: predicting row %d: %w", i, err)
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		var ctr *hdc.Counter
-		if m.InferCounter != nil {
-			ctr = &hdc.Counter{}
-			counters[w] = ctr
-		}
-		go func(w, lo, hi int, ctr *hdc.Counter) {
-			defer wg.Done()
-			sc := m.scratch.get()
-			defer m.scratch.put(sc)
-			for i := lo; i < hi; i++ {
-				e, err := m.encodeScratch(ctr, xs[i], sc)
-				if err != nil {
-					errs[w] = rowErr{row: i, err: fmt.Errorf("core: predicting row %d: %w", i, err)}
-					return
-				}
-				out[i] = m.predictEncoded(ctr, e, sc.sims, sc.conf)
-			}
-		}(w, lo, hi, ctr)
-	}
-	wg.Wait()
+		out[i] = y
+		return nil
+	})
 	// Merge per-worker counters before the error check: a failed batch
 	// must still account for the operations its workers performed.
-	for _, ctr := range counters {
+	for _, ctr := range ctrs {
 		m.InferCounter.AddCounter(ctr)
 	}
-	if err := firstRowErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

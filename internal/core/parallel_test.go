@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,14 +10,26 @@ import (
 )
 
 func TestPredictBatchParallelMatchesSequential(t *testing.T) {
-	for _, tc := range []struct {
+	type tcase struct {
 		name string
 		cfg  Config
-	}{
+	}
+	cases := []tcase{
 		{"single", Config{Models: 1, Epochs: 3, Seed: 1}},
 		{"multi", Config{Models: 4, Epochs: 3, Seed: 2}},
 		{"binary", Config{Models: 4, Epochs: 3, Seed: 3, ClusterMode: ClusterBinary, PredictMode: PredictBinaryBoth}},
-	} {
+	}
+	for _, k := range []int{1, 4} {
+		for _, pm := range []PredictMode{PredictFull, PredictBinaryQuery, PredictBinaryModel, PredictBinaryBoth} {
+			for _, cm := range []ClusterMode{ClusterInteger, ClusterBinary, ClusterNaiveBinary} {
+				cases = append(cases, tcase{
+					fmt.Sprintf("k%d/%v/%v", k, pm, cm),
+					Config{Models: k, Epochs: 3, Seed: 11, ClusterMode: cm, PredictMode: pm},
+				})
+			}
+		}
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			all := makeLinear(rand.New(rand.NewSource(4)), 300, 3, 0.05)
 			m := newModel(t, 3, 512, tc.cfg)
@@ -37,7 +51,99 @@ func TestPredictBatchParallelMatchesSequential(t *testing.T) {
 					}
 				}
 			}
+			checkModelSnapshotAgree(t, m, all.X[:32])
+			checkBatchStageCounts(t, m, all.X, seq)
 		})
+	}
+}
+
+// checkModelSnapshotAgree pins Model.Predict and Snapshot.Predict to the
+// same per-row path: Float64bits-identical outputs and equal op counts,
+// with stage timing off and on, and timing must change neither.
+func checkModelSnapshotAgree(t *testing.T, m *Model, xs [][]float64) {
+	t.Helper()
+	var ref []float64
+	var refOps [hdc.NumOps]uint64
+	for _, timed := range []bool{false, true} {
+		m.InferCounter = &hdc.Counter{}
+		m.Stages = nil
+		snap := m.Snapshot()
+		snap.SetCounter(&hdc.AtomicCounter{})
+		var mst, sst *StageTimes
+		if timed {
+			mst, sst = &StageTimes{}, &StageTimes{}
+			m.Stages = mst
+			snap.SetStages(sst)
+		}
+		got := make([]float64, len(xs))
+		for i, x := range xs {
+			ym, err := m.Predict(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ys, err := snap.Predict(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(ym) != math.Float64bits(ys) {
+				t.Fatalf("timed=%v: row %d: Model.Predict %v, Snapshot.Predict %v", timed, i, ym, ys)
+			}
+			got[i] = ym
+		}
+		ops := m.InferCounter.Snapshot()
+		if snapOps := snap.Counter().Snapshot(); ops != snapOps {
+			t.Fatalf("timed=%v: Model ops %v, Snapshot ops %v", timed, ops, snapOps)
+		}
+		for s := Stage(0); s < NumStages; s++ {
+			if mc, sc := mst.Stat(s).Calls, sst.Stat(s).Calls; mc != sc {
+				t.Fatalf("timed=%v: %v calls: Model %d, Snapshot %d", timed, s, mc, sc)
+			}
+		}
+		if !timed {
+			ref, refOps = got, ops
+			continue
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+				t.Fatalf("row %d: timed %v, untimed %v", i, got[i], ref[i])
+			}
+		}
+		if ops != refOps {
+			t.Fatalf("stage timing changed op counts: %v vs %v", ops, refOps)
+		}
+	}
+	m.InferCounter = nil
+	m.Stages = nil
+}
+
+// checkBatchStageCounts runs PredictBatchParallel with Stages installed and
+// checks that every worker count records one encode and one readout per
+// row, and one similarity per row exactly when k>1.
+func checkBatchStageCounts(t *testing.T, m *Model, xs [][]float64, want []float64) {
+	t.Helper()
+	n := int64(len(xs))
+	wantSim := n
+	if m.Models() == 1 {
+		wantSim = 0
+	}
+	for _, workers := range []int{1, 2, 7} {
+		st := &StageTimes{}
+		m.Stages = st
+		got, err := m.PredictBatchParallel(xs, workers)
+		m.Stages = nil
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("workers=%d timed: row %d: %v vs %v", workers, i, got[i], want[i])
+			}
+		}
+		s := st.Summary()
+		if s.Encode.Calls != n || s.Readout.Calls != n || s.Similarity.Calls != wantSim {
+			t.Fatalf("workers=%d: stage calls encode/similarity/readout = %d/%d/%d, want %d/%d/%d",
+				workers, s.Encode.Calls, s.Similarity.Calls, s.Readout.Calls, n, wantSim, n)
+		}
 	}
 }
 

@@ -126,19 +126,9 @@ func (s *Snapshot) Predict(x []float64) (float64, error) {
 		sc.ctr.Reset()
 		ctr = &sc.ctr
 	}
-	var y float64
-	if st := s.stages; st != nil {
-		e, err := s.encodeStaged(ctr, x, sc, st)
-		if err != nil {
-			return 0, err
-		}
-		y = s.predictStaged(ctr, e, sc.sims, sc.conf, st)
-	} else {
-		e, err := s.encodeScratch(ctr, x, sc)
-		if err != nil {
-			return 0, err
-		}
-		y = s.predictEncoded(ctr, e, sc.sims, sc.conf)
+	y, err := s.predictRow(ctr, x, sc, s.stages)
+	if err != nil {
+		return 0, err
 	}
 	s.counter.AddCounter(ctr)
 	return y, nil
@@ -146,15 +136,7 @@ func (s *Snapshot) Predict(x []float64) (float64, error) {
 
 // PredictBatch returns predictions for each row of xs, serially.
 func (s *Snapshot) PredictBatch(xs [][]float64) ([]float64, error) {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		y, err := s.Predict(x)
-		if err != nil {
-			return nil, fmt.Errorf("core: predicting row %d: %w", i, err)
-		}
-		out[i] = y
-	}
-	return out, nil
+	return s.PredictBatchParallel(xs, 1)
 }
 
 // PredictBatchParallel predicts every row of xs using the given number of
@@ -174,7 +156,7 @@ func (s *Snapshot) PredictBatchParallelCtx(ctx context.Context, xs [][]float64, 
 		return nil, ErrNotTrained
 	}
 	out := make([]float64, len(xs))
-	err := forEachRowParallelCtx(ctx, len(xs), workers, func(i int) error {
+	err := forEachRowParallelCtx(ctx, len(xs), workers, func(_, i int) error {
 		y, err := s.Predict(xs[i])
 		if err != nil {
 			return fmt.Errorf("core: predicting row %d: %w", i, err)

@@ -48,9 +48,10 @@ func (s Stage) String() string {
 // nil *StageTimes is valid everywhere and records nothing, mirroring the
 // nil-Counter convention of the instrumented kernels.
 //
-// Timing costs two time.Now calls per recorded stage, so the prediction
-// paths only take timestamps when a StageTimes is installed (Model.Stages,
-// Snapshot.SetStages, Engine.EnableMetrics).
+// The prediction path takes its timestamps in one place, the stage clock
+// (stageClock), which reads the wall clock once per stage boundary and only
+// when a StageTimes is installed (Model.Stages, Snapshot.SetStages,
+// Engine.EnableMetrics).
 type StageTimes struct {
 	ns    [NumStages]atomic.Int64
 	calls [NumStages]atomic.Int64
@@ -118,5 +119,31 @@ func (t *StageTimes) Reset() {
 	for i := range t.ns {
 		t.ns[i].Store(0)
 		t.calls[i].Store(0)
+	}
+}
+
+// stageClock times consecutive prediction stages into a StageTimes: each
+// lap records the wall time since the previous one. A nil clock does
+// nothing and never reads the wall clock, so untimed predictions pay one
+// nil check per stage.
+type stageClock struct {
+	st   *StageTimes
+	last time.Time
+}
+
+// read returns the wall time since the previous read and starts the next
+// interval.
+func (c *stageClock) read() time.Duration {
+	//lint:nondeterm wall-clock telemetry: stage timing feeds StageTimes metrics only
+	now := time.Now()
+	d := now.Sub(c.last)
+	c.last = now
+	return d
+}
+
+// lap records the interval since the previous lap as stage s.
+func (c *stageClock) lap(s Stage) {
+	if c != nil {
+		c.st.Observe(s, c.read())
 	}
 }

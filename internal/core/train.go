@@ -1,10 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"reghd/internal/dataset"
 	"reghd/internal/hdc"
@@ -55,60 +54,30 @@ func (m *Model) prepare(train *dataset.Dataset) (*trainCache, error) {
 	}
 	// Encoding is embarrassingly parallel (the encoder is read-only);
 	// it dominates Fit's cost, so spread it over the available cores with
-	// per-worker operation counters merged afterwards.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > train.Len() {
-		workers = train.Len()
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	errs := make([]error, workers)
-	counters := make([]*hdc.Counter, workers)
-	var wg sync.WaitGroup
-	chunk := (train.Len() + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > train.Len() {
-			hi = train.Len()
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		var ctr *hdc.Counter
-		if m.TrainCounter != nil {
-			ctr = &hdc.Counter{}
-			counters[w] = ctr
-		}
-		go func(w, lo, hi int, ctr *hdc.Counter) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				e, err := m.encode(ctr, train.X[i])
-				if err != nil {
-					errs[w] = fmt.Errorf("core: encoding row %d: %w", i, err)
-					return
-				}
-				c.packed[i] = e.packed
-				if needRaw {
-					r := make([]float32, m.dim)
-					for j, v := range e.raw {
-						r[j] = float32(v)
-					}
-					c.raw[i] = r
-				}
-			}
-		}(w, lo, hi, ctr)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	// per-worker operation counters merged afterwards, also when a row
+	// fails.
+	workers := clampWorkers(0, train.Len())
+	ctrs := workerCounters(m.TrainCounter, workers)
+	err := forEachRowParallelCtx(context.Background(), train.Len(), workers, func(w, i int) error {
+		e, err := m.encode(ctrs[w], train.X[i])
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("core: encoding row %d: %w", i, err)
 		}
-	}
-	for _, ctr := range counters {
+		c.packed[i] = e.packed
+		if needRaw {
+			r := make([]float32, m.dim)
+			for j, v := range e.raw {
+				r[j] = float32(v)
+			}
+			c.raw[i] = r
+		}
+		return nil
+	})
+	for _, ctr := range ctrs {
 		m.TrainCounter.AddCounter(ctr)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -208,8 +177,7 @@ func (m *Model) calibrate(cache *trainCache, scratchS, scratchRaw hdc.Vector) {
 	if n > calibSamples {
 		step = n / calibSamples
 	}
-	var sp, sy, spp, spy float64
-	var cnt float64
+	var fit calibFit
 	for idx := 0; idx < n; idx += step {
 		e := encoded{packed: cache.packed[idx], s: scratchS}
 		hdc.UnpackInto(scratchS, cache.packed[idx])
@@ -219,21 +187,35 @@ func (m *Model) calibrate(cache *trainCache, scratchS, scratchRaw hdc.Vector) {
 			}
 			e.raw = scratchRaw
 		}
-		p := m.predictWith(m.TrainCounter, e, m.modelDot)
-		y := cache.y[idx]
-		sp += p
-		sy += y
-		spp += p * p
-		spy += p * y
-		cnt++
+		fit.add(m.mixture(m.TrainCounter, e, m.modelDot, m.sims, m.conf, nil), cache.y[idx])
 	}
-	varP := spp/cnt - (sp/cnt)*(sp/cnt)
+	m.calibA, m.calibB = fit.solve()
+}
+
+// calibFit accumulates the least-squares fit of targets y on uncalibrated
+// deployment predictions p that gives the binary-model output calibration
+// y ≈ a·p + b. calibrate and RefreshShadows share it.
+type calibFit struct {
+	sp, sy, spp, spy, cnt float64
+}
+
+func (f *calibFit) add(p, y float64) {
+	f.sp += p
+	f.sy += y
+	f.spp += p * p
+	f.spy += p * y
+	f.cnt++
+}
+
+// solve returns (a, b). A near-constant prediction (variance below 1e-12)
+// carries no slope information, so it falls back to a = 1, b = mean(y).
+func (f *calibFit) solve() (a, b float64) {
+	varP := f.spp/f.cnt - (f.sp/f.cnt)*(f.sp/f.cnt)
 	if varP < 1e-12 {
-		m.calibA, m.calibB = 1, sy/cnt
-		return
+		return 1, f.sy / f.cnt
 	}
-	m.calibA = (spy/cnt - sp/cnt*sy/cnt) / varP
-	m.calibB = sy/cnt - m.calibA*sp/cnt
+	a = (f.spy/f.cnt - f.sp/f.cnt*f.sy/f.cnt) / varP
+	return a, f.sy/f.cnt - a*f.sp/f.cnt
 }
 
 // Fit trains the model on train with iterative passes until the

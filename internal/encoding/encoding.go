@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 
 	"reghd/internal/hdc"
@@ -389,135 +388,4 @@ func (e *Nonlinear) EncodeBothInto(ctr *hdc.Counter, x []float64, raw, bipolar h
 	}
 	e.quantizeInto(ctr, bipolar, raw)
 	return nil
-}
-
-// BatchError reports a partially failed batch encode: which row failed
-// first, the underlying cause, and how many of the batch's rows were left
-// unencoded (the failed row plus every row its worker abandoned after it —
-// other workers run their chunks to completion). EncodeBatchParallel returns
-// a nil result alongside it, so the unencoded rows can never be read back;
-// the counts exist so callers retrying or logging know the blast radius
-// instead of guessing from a single row index.
-type BatchError struct {
-	// Row is the lowest-index row that failed.
-	Row int
-	// Unencoded is the number of rows without a valid encoding: every
-	// failed row plus the rows abandoned after a worker's first failure.
-	Unencoded int
-	// Total is the batch size.
-	Total int
-	// Err is the failure of row Row.
-	Err error
-}
-
-// Error formats the failure with its blast radius.
-func (e *BatchError) Error() string {
-	return fmt.Sprintf("encoding row %d: %v (%d of %d rows unencoded)", e.Row, e.Err, e.Unencoded, e.Total)
-}
-
-// Unwrap returns the underlying row failure for errors.Is/As.
-func (e *BatchError) Unwrap() error { return e.Err }
-
-// EncodeBatch encodes each row of xs with EncodeBipolar, fanning the rows
-// out over GOMAXPROCS workers (the encoder is read-only, so batch encoding
-// is embarrassingly parallel). On success, results and accumulated op
-// counts are identical to the serial loop; on invalid rows a *BatchError
-// reporting the lowest failed row index and the unencoded-row count is
-// returned (workers may have counted rows past the failure).
-func (e *Nonlinear) EncodeBatch(ctr *hdc.Counter, xs [][]float64) ([]hdc.Vector, error) {
-	return e.EncodeBatchParallel(ctr, xs, 0)
-}
-
-// EncodeBatchParallel is EncodeBatch with an explicit worker count
-// (0 means GOMAXPROCS, 1 forces the serial loop).
-//
-// The returned rows are views into one contiguous n×D slab allocated up
-// front — two allocations for the whole batch instead of one fresh vector
-// per row, which is what previously kept the parallel lane at parity with
-// the serial one (every worker was burning its cycles in the allocator and
-// the write misses of scattered fresh vectors; see docs/PERFORMANCE.md
-// "Flat spots"). Each worker encodes straight into its chunk of the slab via
-// the fused project+bipolarize pass, touching no shared scratch.
-func (e *Nonlinear) EncodeBatchParallel(ctr *hdc.Counter, xs [][]float64, workers int) ([]hdc.Vector, error) {
-	n := len(xs)
-	out := make([]hdc.Vector, n)
-	if n == 0 {
-		return out, nil
-	}
-	slab := make([]float64, n*e.dim)
-	for i := range out {
-		out[i] = hdc.Vector(slab[i*e.dim : (i+1)*e.dim])
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i, x := range xs {
-			if err := e.EncodeBipolarInto(ctr, x, out[i]); err != nil {
-				return nil, &BatchError{Row: i, Unencoded: n - i, Total: n, Err: err}
-			}
-		}
-		return out, nil
-	}
-	type chunkErr struct {
-		row       int // first failed row, -1 when the chunk succeeded
-		abandoned int // rows the worker never reached after the failure
-		err       error
-	}
-	errs := make([]chunkErr, workers)
-	counters := make([]*hdc.Counter, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			errs[w].row = -1
-			continue
-		}
-		wg.Add(1)
-		var wctr *hdc.Counter
-		if ctr != nil {
-			wctr = &hdc.Counter{}
-			counters[w] = wctr
-		}
-		go func(w, lo, hi int, wctr *hdc.Counter) {
-			defer wg.Done()
-			errs[w].row = -1
-			for i := lo; i < hi; i++ {
-				if err := e.EncodeBipolarInto(wctr, xs[i], out[i]); err != nil {
-					errs[w] = chunkErr{row: i, abandoned: hi - i, err: err}
-					return
-				}
-			}
-		}(w, lo, hi, wctr)
-	}
-	wg.Wait()
-	// Merge per-worker counters before the error check so a failed batch
-	// still accounts for the encodes its workers performed.
-	for _, wctr := range counters {
-		ctr.AddCounter(wctr)
-	}
-	first, unencoded := -1, 0
-	var cause error
-	for _, ce := range errs {
-		if ce.row < 0 {
-			continue
-		}
-		unencoded += ce.abandoned
-		if first < 0 || ce.row < first {
-			first = ce.row
-			cause = ce.err
-		}
-	}
-	if first >= 0 {
-		return nil, &BatchError{Row: first, Unencoded: unencoded, Total: n, Err: cause}
-	}
-	return out, nil
 }

@@ -1,10 +1,8 @@
 package encoding
 
 import (
-	"errors"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -196,23 +194,6 @@ func TestBipolarProjectionVariant(t *testing.T) {
 	}
 	if _, err := NewNonlinearProjection(rng, 2, 10, -1, ProjGaussian); err == nil {
 		t.Fatal("negative bandwidth accepted")
-	}
-}
-
-func TestEncodeBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	e, _ := NewNonlinear(rng, 3, 128)
-	xs := [][]float64{{1, 2, 3}, {0, 0, 0}, {-1, 0.5, 2}}
-	hs, err := e.EncodeBatch(nil, xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hs) != 3 {
-		t.Fatalf("batch size %d", len(hs))
-	}
-	bad := [][]float64{{1, 2}}
-	if _, err := e.EncodeBatch(nil, bad); err == nil {
-		t.Fatal("batch accepted wrong row length")
 	}
 }
 
@@ -421,149 +402,6 @@ func TestEncodeIntoMatchesAlloc(t *testing.T) {
 	}
 	if err := e.EncodeBothInto(nil, x, raw, make(hdc.Vector, 10)); err == nil {
 		t.Fatal("EncodeBothInto accepted a wrong-size bipolar destination")
-	}
-}
-
-// TestEncodeBatchParallelMatchesSerial checks that the parallel batch path
-// produces the rows and op counts of the serial loop.
-func TestEncodeBatchParallelMatchesSerial(t *testing.T) {
-	e, err := NewNonlinearProjection(rand.New(rand.NewSource(16)), 4, 300, 2, ProjBipolar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(17))
-	xs := make([][]float64, 37)
-	for i := range xs {
-		row := make([]float64, 4)
-		for j := range row {
-			row[j] = rng.NormFloat64()
-		}
-		xs[i] = row
-	}
-	var cSerial, cParallel hdc.Counter
-	serial, err := e.EncodeBatchParallel(&cSerial, xs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := e.EncodeBatchParallel(&cParallel, xs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		for j := range serial[i] {
-			if serial[i][j] != parallel[i][j] {
-				t.Fatalf("row %d diverges at %d", i, j)
-			}
-		}
-	}
-	if cSerial != cParallel {
-		t.Fatalf("batch op counts diverge: serial %v, parallel %v", &cSerial, &cParallel)
-	}
-	// Lowest-index error reporting across workers.
-	bad := make([][]float64, 16)
-	for i := range bad {
-		bad[i] = make([]float64, 4)
-	}
-	bad[3] = []float64{1}
-	bad[11] = []float64{1}
-	_, err = e.EncodeBatchParallel(nil, bad, 4)
-	if err == nil {
-		t.Fatal("parallel batch accepted bad rows")
-	}
-	if want := "encoding row 3"; !strings.Contains(err.Error(), want) {
-		t.Fatalf("error %q does not name the lowest failing row", err)
-	}
-}
-
-// TestEncodeBatchMatchesEncodeBipolar pins the slab-backed batch path to the
-// single-row entry point bit-for-bit, and checks the documented contiguity:
-// rows are consecutive views into one slab.
-func TestEncodeBatchMatchesEncodeBipolar(t *testing.T) {
-	e, err := NewNonlinearProjection(rand.New(rand.NewSource(40)), 6, 257, 2, ProjBipolar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(41))
-	xs := make([][]float64, 9)
-	for i := range xs {
-		row := make([]float64, 6)
-		for j := range row {
-			row[j] = rng.NormFloat64()
-		}
-		xs[i] = row
-	}
-	batch, err := e.EncodeBatchParallel(nil, xs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range xs {
-		want, err := e.EncodeBipolar(nil, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range want {
-			if math.Float64bits(batch[i][j]) != math.Float64bits(want[j]) {
-				t.Fatalf("row %d diverges from EncodeBipolar at %d", i, j)
-			}
-		}
-	}
-	for i := 1; i < len(batch); i++ {
-		prev := batch[i-1][:cap(batch[i-1])]
-		if len(prev) < e.Dim()+1 || &prev[e.Dim()] != &batch[i][0] {
-			t.Fatalf("row %d is not contiguous with row %d", i, i-1)
-		}
-	}
-	empty, err := e.EncodeBatchParallel(nil, nil, 0)
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("empty batch: %v, %v", empty, err)
-	}
-}
-
-// TestEncodeBatchTypedError checks the *BatchError contract on both the
-// serial and the parallel path: lowest failed row, unencoded-row accounting,
-// and errors.As/Unwrap reachability.
-func TestEncodeBatchTypedError(t *testing.T) {
-	e, err := NewNonlinearProjection(rand.New(rand.NewSource(42)), 4, 64, 2, ProjBipolar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mkBatch := func(n int, badRows ...int) [][]float64 {
-		xs := make([][]float64, n)
-		for i := range xs {
-			xs[i] = make([]float64, 4)
-		}
-		for _, i := range badRows {
-			xs[i] = []float64{1}
-		}
-		return xs
-	}
-
-	// Serial: failure at row 5 of 8 abandons rows 5..7.
-	_, err = e.EncodeBatchParallel(nil, mkBatch(8, 5), 1)
-	var be *BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("serial error %T is not a *BatchError", err)
-	}
-	if be.Row != 5 || be.Unencoded != 3 || be.Total != 8 {
-		t.Fatalf("serial BatchError = row %d, unencoded %d, total %d; want 5, 3, 8", be.Row, be.Unencoded, be.Total)
-	}
-	if be.Unwrap() == nil {
-		t.Fatal("BatchError.Unwrap is nil")
-	}
-
-	// Parallel, 4 workers × chunks of 4 over 16 rows: worker 0 fails at row
-	// 1 (abandons 1..3 → 3 rows), worker 2 fails at row 11 (abandons 11 →
-	// 1 row); workers 1 and 3 complete. Lowest failed row wins the report.
-	be = nil
-	_, err = e.EncodeBatchParallel(nil, mkBatch(16, 1, 11), 4)
-	if !errors.As(err, &be) {
-		t.Fatalf("parallel error %T is not a *BatchError", err)
-	}
-	if be.Row != 1 || be.Unencoded != 4 || be.Total != 16 {
-		t.Fatalf("parallel BatchError = row %d, unencoded %d, total %d; want 1, 4, 16", be.Row, be.Unencoded, be.Total)
-	}
-	if !strings.Contains(be.Error(), "4 of 16 rows unencoded") {
-		t.Fatalf("BatchError text %q does not carry the blast radius", be.Error())
 	}
 }
 
