@@ -20,8 +20,8 @@ test:
 	$(GO) test ./...
 
 # Core count as a test dimension: the packages whose paths branch on
-# GOMAXPROCS (worker clamping, the row fan-out, the coalescer) rerun at
-# 1, 2 and 4 Go processors, so a multi-core-only failure shows on any box.
+# GOMAXPROCS (worker clamping, the row fan-out) rerun at 1, 2 and 4 Go
+# processors, so a multi-core-only failure shows on any box.
 test-cpu:
 	$(GO) test -count=1 -cpu 1,2,4 . ./internal/core/ ./internal/encoding/
 
@@ -48,7 +48,7 @@ bench-quick:
 # (bench_kernels_test.go) and writes BENCH_kernels.json with ns/op plus
 # baseline→optimized speedups. See docs/PERFORMANCE.md.
 bench-json:
-	$(GO) test -run xxx -bench 'Project$$|Encode$$|SimilarityK$$|EnginePredict$$|EnginePredictCoalesce$$' -benchtime=1s -count=3 . \
+	$(GO) test -run xxx -bench 'Project$$|Encode$$|SimilarityK$$|EnginePredict$$' -benchtime=1s -count=3 . \
 		| $(GO) run ./cmd/reghd-benchjson -o BENCH_kernels.json
 
 # Sharded-training before/after record: runs the FitParallel serial-vs-N
@@ -66,9 +66,7 @@ bench-train-json:
 # 0.95 tolerance (orchestration overhead must stay within noise; multi-
 # worker pairs are excluded because on a 1-core runner they sit at parity
 # by design — see docs/TRAINING.md). Short benchtime — this is a smoke
-# gate, not the record; the coalescing pair is excluded because on few-core
-# machines it sits at parity by design (see docs/PERFORMANCE.md) and would
-# flake.
+# gate, not the record.
 bench-check:
 	$(GO) test -run xxx -bench 'SimilarityK$$' -benchtime=0.3s -count=2 . \
 		| $(GO) run ./cmd/reghd-benchjson -fail-on-regression -o -

@@ -75,7 +75,6 @@ var swaps = map[string][]string{
 	"dense":  {"packed"},
 	"naive":  {"packed", "fused"},
 	"serial": {"parallel"},
-	"direct": {"coalesced"},
 }
 
 // parse reads `go test -bench` output and pairs lanes; tolerance is the

@@ -14,8 +14,6 @@ BenchmarkEncodeBatch/serial-256rows-n32-D4096         	       4	  51558680 ns/op
 BenchmarkEncodeBatch/parallel-256rows-n32-D4096       	       5	  42687944 ns/op	 8395164 B/op	       3 allocs/op
 BenchmarkSimilarityK/hamming-naive-k8-D4096           	  418390	       509.9 ns/op
 BenchmarkSimilarityK/hamming-fused-k8-D4096           	  565898	       600.0 ns/op
-BenchmarkEnginePredictCoalesce/direct-8callers-n32-D4096    	    1059	    223170 ns/op
-BenchmarkEnginePredictCoalesce/coalesced-8callers-n32-D4096 	    1030	    221961 ns/op
 PASS
 `
 
@@ -41,17 +39,13 @@ func pairFor(t *testing.T, rep *Report, baseline string) Pair {
 
 func TestParsePairsAndRegressionFlag(t *testing.T) {
 	rep := parseString(t, sample)
-	if len(rep.Pairs) != 3 {
-		t.Fatalf("got %d pairs, want 3: %+v", len(rep.Pairs), rep.Pairs)
+	if len(rep.Pairs) != 2 {
+		t.Fatalf("got %d pairs, want 2: %+v", len(rep.Pairs), rep.Pairs)
 	}
 
 	enc := pairFor(t, rep, "serial")
 	if enc.Regression || enc.Speedup < 1.2 {
 		t.Fatalf("serial→parallel pair misclassified: %+v", enc)
-	}
-	coal := pairFor(t, rep, "direct")
-	if coal.Regression {
-		t.Fatalf("direct→coalesced pair misclassified: %+v", coal)
 	}
 	// The sample's fused hamming lane is deliberately slower than naive.
 	ham := pairFor(t, rep, "hamming-naive")

@@ -65,10 +65,6 @@ func main() {
 		maxInFlight  = flag.Int("max-inflight", 256, "bounded in-flight prediction limit, 0 = unlimited")
 		reqTimeout   = flag.Duration("request-timeout", 2*time.Second, "per-request prediction deadline, 0 = none")
 
-		coalesce      = flag.Bool("coalesce", false, "micro-batch concurrent single-row predictions (request coalescing)")
-		coalesceBatch = flag.Int("coalesce-batch", reghd.DefaultCoalesceMaxBatch, "max rows per coalesced batch")
-		coalesceWait  = flag.Duration("coalesce-wait", reghd.DefaultCoalesceMaxWait, "max window hold time; negative batches only what is already queued")
-
 		modelsDir        = flag.String("models-dir", "", "multi-model mode: serve every *.gob tenant checkpoint in this directory via /predict/{model}")
 		maxResident      = flag.Int("max-resident", 0, "multi-model: LRU budget on resident tenant engines, 0 = unlimited")
 		maxResidentBytes = flag.Int64("max-resident-bytes", 0, "multi-model: LRU budget on summed resident model deployment bytes, 0 = unlimited")
@@ -92,9 +88,6 @@ func main() {
 			seedDim:          *dim,
 			seedK:            *models,
 			seedEpochs:       *epochs,
-			coalesce:         *coalesce,
-			coalesceBatch:    *coalesceBatch,
-			coalesceWait:     *coalesceWait,
 		}); err != nil {
 			log.Fatal(err)
 		}
@@ -142,14 +135,6 @@ func main() {
 	engine.SetPublishEvery(*publishEvery)
 	engine.SetMaxInFlight(*maxInFlight)
 	engine.EnableMetrics()
-	if *coalesce {
-		engine.EnableCoalescing(reghd.CoalesceConfig{
-			MaxBatch: *coalesceBatch,
-			MaxWait:  *coalesceWait,
-		})
-		log.Printf("request coalescing on (batch<=%d, wait<=%v); watch reghd.engine.coalesce in /metrics",
-			*coalesceBatch, *coalesceWait)
-	}
 	ops := engine.EnableOpCounting()
 
 	// Live hardware view: the op counts of the actually-served traffic,
@@ -261,9 +246,6 @@ type fleetOptions struct {
 	seedDim          int
 	seedK            int
 	seedEpochs       int
-	coalesce         bool
-	coalesceBatch    int
-	coalesceWait     time.Duration
 }
 
 // runFleet is the multi-model serving path: optional fleet seeding, then a
@@ -274,17 +256,13 @@ func runFleet(opt fleetOptions) error {
 			return err
 		}
 	}
-	cfg := reghd.RegistryConfig{
+	reg, err := reghd.NewRegistry(reghd.RegistryConfig{
 		Dir:              opt.dir,
 		MaxResident:      opt.maxResident,
 		MaxResidentBytes: opt.maxResidentBytes,
 		MaxInFlight:      opt.maxInFlight,
 		PublishEvery:     opt.publishEvery,
-	}
-	if opt.coalesce {
-		cfg.Coalesce = &reghd.CoalesceConfig{MaxBatch: opt.coalesceBatch, MaxWait: opt.coalesceWait}
-	}
-	reg, err := reghd.NewRegistry(cfg)
+	})
 	if err != nil {
 		return err
 	}

@@ -64,13 +64,10 @@ func (m *Model) Clone() *Model {
 		scratch: newScratchPool(m.cfg.Models, m.dim, m.cfg.PredictMode.UsesRawQuery(), m.bufEnc != nil),
 	}
 	c.clusters = cloneVectors(m.clusters)
-	c.clustersBin = cloneBinaries(m.clustersBin)
+	c.clustersSet, c.clustersBin = hdc.NewBinarySet(m.clustersBin)
 	c.models = cloneVectors(m.models)
 	c.modelsBin = cloneBinaries(m.modelsBin)
 	c.modelScale = append([]float64(nil), m.modelScale...)
-	// clustersSet is only materialized on frozen Snapshots; a live clone
-	// must not alias one left in params by mistake.
-	c.clustersSet = nil
 	if m.assignN != nil {
 		c.assignN = append([]uint64(nil), m.assignN...)
 	}

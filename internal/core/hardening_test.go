@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -9,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"reghd/internal/hdc"
 )
 
 // trainedSmall returns a small trained multi-model fixture.
@@ -142,6 +145,18 @@ func TestLoadCorruptFile(t *testing.T) {
 				t.Fatalf("want ErrCorruptModel, got %v", err)
 			}
 		})
+	}
+
+	// A well-formed checkpoint whose binary cluster shadows do not fit the
+	// model is corrupt too, not a panic while building the shadow slab.
+	bm := trainedSmall(t, Config{Models: 2, Epochs: 1, Seed: 3, ClusterMode: ClusterBinary})
+	bm.clustersBin[1] = hdc.NewBinary(bm.dim + 1)
+	var buf bytes.Buffer
+	if err := bm.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); !errors.Is(err, ErrCorruptModel) {
+		t.Fatalf("mismatched cluster shadows: want ErrCorruptModel, got %v", err)
 	}
 
 	// A missing file is an I/O error, not a corrupt checkpoint.

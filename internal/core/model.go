@@ -32,10 +32,10 @@ type params struct {
 	modelsBin   []*hdc.Binary // binary shadows M_i^b (binary model modes)
 	modelScale  []float64     // per-model magnitude ‖M_i‖₁/D for binary models
 
-	// clustersSet is the contiguous-slab layout of clustersBin for the
-	// blocked k-way Hamming kernel. Snapshot construction builds it from the
-	// frozen shadows; on the live Model it stays nil (clusters mutate during
-	// training) and similarity falls back to the per-*Binary kernel.
+	// clustersSet is the contiguous slab backing clustersBin for the blocked
+	// k-way Hamming kernel: clustersBin[i] is the set's row-i view, so every
+	// writer updates a shadow through its Words and never replaces the
+	// *Binary.
 	clustersSet *hdc.BinarySet
 
 	// calibA, calibB linearly recalibrate the deployment output of
@@ -187,10 +187,11 @@ func New(enc encoding.Encoder, cfg Config) (*Model, error) {
 			m.clusters[i] = hdc.RandomBipolar(m.rng, m.dim)
 		}
 		if cfg.ClusterMode != ClusterInteger {
-			m.clustersBin = make([]*hdc.Binary, cfg.Models)
-			for i := range m.clustersBin {
-				m.clustersBin[i] = hdc.Pack(nil, m.clusters[i])
+			bins := make([]*hdc.Binary, cfg.Models)
+			for i := range bins {
+				bins[i] = hdc.Pack(nil, m.clusters[i])
 			}
+			m.clustersSet, m.clustersBin = hdc.NewBinarySet(bins)
 		}
 		m.sims = make([]float64, cfg.Models)
 		m.conf = make([]float64, cfg.Models)
@@ -296,11 +297,7 @@ func (p *params) clusterSimilaritiesInto(ctr *hdc.Counter, e encoded, sims []flo
 	case ClusterInteger:
 		hdc.CosineK(ctr, e.s, p.clusters, sims)
 	default: // ClusterBinary, ClusterNaiveBinary
-		if p.clustersSet != nil {
-			p.clustersSet.HammingSimilarityK(ctr, e.packed, sims)
-		} else {
-			hdc.HammingSimilarityK(ctr, e.packed, p.clustersBin, sims)
-		}
+		p.clustersSet.HammingSimilarityK(ctr, e.packed, sims)
 	}
 }
 

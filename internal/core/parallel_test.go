@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -53,7 +54,73 @@ func TestPredictBatchParallelMatchesSequential(t *testing.T) {
 			}
 			checkModelSnapshotAgree(t, m, all.X[:32])
 			checkBatchStageCounts(t, m, all.X, seq)
+			if tc.cfg.Models > 1 && tc.cfg.ClusterMode != ClusterInteger {
+				checkClusterSlab(t, m, all.X[:32], all.Y[:32])
+			}
 		})
+	}
+}
+
+// checkClusterSlab pins the cluster-shadow slab on a binary-cluster model
+// through every path that builds or writes the shadows: Fit, Clone, a
+// save/load round trip, a merge, and a bit flip through FaultView. The live
+// model reads the shadows from its BinarySet slab while Snapshot copies them
+// out of the *Binary views, so a path that swapped in a new *Binary instead
+// of writing through its slab row makes the two disagree, and a flip that
+// misses the slab leaves Model.Predict unmoved.
+func checkClusterSlab(t *testing.T, m *Model, xs [][]float64, ys []float64) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := m.Clone()
+	worker.MarkSync()
+	for i, x := range xs {
+		if err := worker.PartialFit(x, ys[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := worker.Delta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := m.Clone()
+	if m.cfg.ClusterMode == ClusterBinary {
+		err = merged.MergeQuantized(d)
+	} else {
+		err = merged.Merge(d)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		m    *Model
+	}{{"clone", m.Clone()}, {"load", loaded}, {"merge", merged}, {"fit", m}} {
+		checkModelSnapshotAgree(t, c.m, xs)
+		before, err := c.m.PredictBatch(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// An odd number of flips always moves cluster 0's Hamming distance.
+		c.m.FaultView().ClustersBin[0].FlipBits([]int{0, 1, 2, 3, 4, 5, 6})
+		after, err := c.m.PredictBatch(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved := false
+		for i := range after {
+			moved = moved || math.Float64bits(after[i]) != math.Float64bits(before[i])
+		}
+		if !moved {
+			t.Fatalf("%s: a FaultView cluster-shadow flip did not reach Model.Predict", c.name)
+		}
+		checkModelSnapshotAgree(t, c.m, xs)
 	}
 }
 

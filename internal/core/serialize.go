@@ -122,26 +122,29 @@ func Load(r io.Reader) (*Model, error) {
 	if err := hdc.CheckDims(dim, st.Models...); err != nil {
 		return nil, fmt.Errorf("%w: model vectors: %v", ErrCorruptModel, err)
 	}
+	if err := checkClusterShadows(st.Cfg, dim, st.ClustersBin); err != nil {
+		return nil, fmt.Errorf("%w: cluster shadows: %v", ErrCorruptModel, err)
+	}
 	bufEnc, _ := st.Encoder.(encoding.BufferedEncoder)
 	m := &Model{
 		params: params{
-			cfg:         st.Cfg,
-			enc:         st.Encoder,
-			bufEnc:      bufEnc,
-			dim:         dim,
-			clusters:    st.Clusters,
-			clustersBin: st.ClustersBin,
-			models:      st.Models,
-			modelsBin:   st.ModelsBin,
-			modelScale:  st.ModelScale,
-			calibA:      st.CalibA,
-			calibB:      st.CalibB,
+			cfg:        st.Cfg,
+			enc:        st.Encoder,
+			bufEnc:     bufEnc,
+			dim:        dim,
+			clusters:   st.Clusters,
+			models:     st.Models,
+			modelsBin:  st.ModelsBin,
+			modelScale: st.ModelScale,
+			calibA:     st.CalibA,
+			calibB:     st.CalibB,
 		},
 		trained: st.Trained,
 		samples: st.Samples,
 		rng:     rand.New(rand.NewSource(st.Cfg.Seed)),
 		scratch: newScratchPool(st.Cfg.Models, dim, st.Cfg.PredictMode.UsesRawQuery(), bufEnc != nil),
 	}
+	m.clustersSet, m.clustersBin = hdc.NewBinarySet(st.ClustersBin)
 	if m.cfg.Models > 1 {
 		m.sims = make([]float64, m.cfg.Models)
 		m.conf = make([]float64, m.cfg.Models)
@@ -152,6 +155,25 @@ func Load(r io.Reader) (*Model, error) {
 		}
 	}
 	return m, nil
+}
+
+// checkClusterShadows validates decoded binary cluster shadows before they
+// are copied into the model's slab: k of them in binary cluster modes with
+// k > 1, none otherwise, each a well-formed dimension-dim vector.
+func checkClusterShadows(cfg Config, dim int, bs []*hdc.Binary) error {
+	want := 0
+	if cfg.Models > 1 && cfg.ClusterMode != ClusterInteger {
+		want = cfg.Models
+	}
+	if len(bs) != want {
+		return fmt.Errorf("%d vectors, want %d", len(bs), want)
+	}
+	for i, b := range bs {
+		if b == nil || b.Dim != dim || len(b.Words) != (dim+63)/64 {
+			return fmt.Errorf("vector %d is not a dimension-%d binary", i, dim)
+		}
+	}
+	return nil
 }
 
 // LoadFile loads a model from a file path.

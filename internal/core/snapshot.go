@@ -47,18 +47,10 @@ func (m *Model) Snapshot() *Snapshot {
 		scratch: newScratchPool(m.cfg.Models, m.dim, m.cfg.PredictMode.UsesRawQuery(), m.bufEnc != nil),
 	}
 	s.clusters = cloneVectors(m.clusters)
-	s.clustersBin = cloneBinaries(m.clustersBin)
+	s.clustersSet, s.clustersBin = hdc.NewBinarySet(m.clustersBin)
 	s.models = cloneVectors(m.models)
 	s.modelsBin = cloneBinaries(m.modelsBin)
 	s.modelScale = append([]float64(nil), m.modelScale...)
-	if s.clustersBin != nil {
-		// Flatten the frozen binary clusters into one contiguous slab so the
-		// k-way Hamming search can block clusters without chasing per-vector
-		// allocations (see hdc.BinarySet). Only snapshots carry the slab: the
-		// live model's clusters keep mutating under training, so it serves
-		// through the per-*Binary fallback instead.
-		s.clustersSet = hdc.NewBinarySet(s.clustersBin)
-	}
 	return s
 }
 

@@ -291,42 +291,9 @@ func CosineK(ctr *Counter, q Vector, cs []Vector, sims []float64) {
 	ctr.Add(OpMemRead, k*4*d)
 }
 
-// HammingSimilarityK fills sims[i] = HammingSimilarity(q, cs[i]) for every
-// binary cluster in one fused call. The query words stay L1-resident across
-// all k clusters. Integer reduction is order-independent, so results are
-// exactly the naive loop's; op charges are k times the single-pair kernel.
-//
-// This is the fallback for clusters held as separate *Binary values (the
-// live training model, whose clusters reallocate as they learn). The serving
-// path builds a BinarySet slab at Snapshot time and uses its method instead:
-// with per-cluster word slices the four XOR+POPCNT streams hit four
-// unrelated allocations and the earlier manual 4-word unroll measured
-// *slower* than the naive per-pair loop at D=4096 (0.84×, see
-// docs/PERFORMANCE.md "Flat spots") — so this fallback keeps the plain
-// per-cluster word loop the compiler handles best, and the blocking lives
-// where the layout supports it.
-func HammingSimilarityK(ctr *Counter, q *Binary, cs []*Binary, sims []float64) {
-	if len(sims) < len(cs) {
-		panic(fmt.Sprintf("hdc: HammingSimilarityK sims has %d slots for %d clusters", len(sims), len(cs)))
-	}
-	qw := q.Words
-	for i, c := range cs {
-		if c.Dim != q.Dim {
-			panic(fmt.Sprintf("hdc: HammingSimilarityK dimension mismatch %d != %d", c.Dim, q.Dim))
-		}
-		cw := c.Words
-		var h int
-		for w, x := range qw {
-			h += bits.OnesCount64(x ^ cw[w])
-		}
-		sims[i] = 1 - 2*float64(h)/float64(q.Dim)
-	}
-	chargeHammingK(ctr, uint64(len(q.Words)), uint64(len(cs)))
-}
-
 // chargeHammingK charges k× the HammingSimilarity reference (Hamming + the
-// map to [−1,1]) over nw-word vectors — shared by the fallback and the
-// BinarySet kernel so both stay charge-identical to k naive calls.
+// map to [−1,1]) over nw-word vectors, so the BinarySet kernel stays
+// charge-identical to k naive calls.
 func chargeHammingK(ctr *Counter, nw, k uint64) {
 	ctr.Add(OpXor, k*nw)
 	ctr.Add(OpPopcnt, k*nw)
@@ -338,38 +305,44 @@ func chargeHammingK(ctr *Counter, nw, k uint64) {
 
 // BinarySet is k equal-dimension bit-packed hypervectors flattened into one
 // contiguous word slab, row-major: vector i occupies words[i*wordsPerVec :
-// (i+1)*wordsPerVec]. The layout exists for the k-way Hamming search on the
-// serving path: with all cluster words in a single allocation the kernel can
-// block four clusters against each query word pair and keep every stream on
-// the same hardware-prefetched cache lines, which is what makes the fused
-// form actually beat k naive calls (the per-*Binary layout did not; see
-// HammingSimilarityK). Snapshots build one at construction time; the set is
-// immutable after NewBinarySet.
+// (i+1)*wordsPerVec]. The layout exists for the k-way Hamming search: with
+// all cluster words in a single allocation the kernel can block four
+// clusters against each query word pair and keep every stream on the same
+// hardware-prefetched cache lines, which is what makes the fused form
+// actually beat k naive calls (over separate per-*Binary allocations the
+// same blocking measured slower than the naive loop; see
+// docs/PERFORMANCE.md). The set changes only through writes to the row
+// views NewBinarySet returns.
 type BinarySet struct {
 	k, dim, wordsPerVec int
 	words               []uint64
 }
 
-// NewBinarySet flattens bs into a contiguous slab. All vectors must share
-// one dimension. The input slices are copied; later mutation of bs does not
-// affect the set.
+// NewBinarySet copies bs into a fresh contiguous slab and returns the set
+// with one view per row: views[i] has bs[i]'s dimension and Words aliasing
+// row i (capacity capped at the row), so writes through a view's Words are
+// what the set's kernels read. All vectors must share one dimension. The
+// inputs are not retained; later mutation of bs does not affect the set.
 //
-//lint:nocount one-time snapshot-construction layout change: the per-query kernels still charge the canonical k-way Hamming ops
-func NewBinarySet(bs []*Binary) *BinarySet {
+//lint:nocount one-time layout change at model/snapshot construction: the per-query kernels still charge the canonical k-way Hamming ops
+func NewBinarySet(bs []*Binary) (*BinarySet, []*Binary) {
 	s := &BinarySet{k: len(bs)}
 	if len(bs) == 0 {
-		return s
+		return s, nil
 	}
 	s.dim = bs[0].Dim
 	s.wordsPerVec = len(bs[0].Words)
 	s.words = make([]uint64, s.k*s.wordsPerVec)
+	views := make([]*Binary, len(bs))
 	for i, b := range bs {
 		if b.Dim != s.dim {
 			panic(fmt.Sprintf("hdc: NewBinarySet dimension mismatch %d != %d", b.Dim, s.dim))
 		}
-		copy(s.words[i*s.wordsPerVec:(i+1)*s.wordsPerVec], b.Words)
+		row := s.words[i*s.wordsPerVec : (i+1)*s.wordsPerVec : (i+1)*s.wordsPerVec]
+		copy(row, b.Words)
+		views[i] = &Binary{Words: row, Dim: s.dim}
 	}
-	return s
+	return s, views
 }
 
 // Len returns the number of vectors in the set.
@@ -379,8 +352,7 @@ func (s *BinarySet) Len() int { return s.k }
 func (s *BinarySet) Dim() int { return s.dim }
 
 // HammingSimilarityK fills sims[i] = HammingSimilarity(q, set vector i) for
-// every vector in the set — the slab-layout replacement for the free
-// HammingSimilarityK on the snapshot serving path. Clusters are blocked four
+// every vector in the set. Clusters are blocked four
 // at a time against two query words per step: the four distance accumulators
 // are independent (no XOR→POPCNT→ADD dependency chain stalls) and all four
 // cluster streams walk consecutive slab rows, so the blocking pays instead

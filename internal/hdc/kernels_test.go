@@ -129,38 +129,6 @@ func TestCosineKZeroNorm(t *testing.T) {
 	}
 }
 
-// TestHammingSimilarityKMatchesNaive checks the fused binary similarity
-// against the per-cluster loop: identical values and op counts.
-func TestHammingSimilarityKMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, tc := range []struct{ k, dim int }{
-		{1, 1}, {3, 64}, {8, 257}, {4, 4096}, {5, 100},
-	} {
-		q := RandomBipolarBinary(rng, tc.dim)
-		cs := make([]*Binary, tc.k)
-		for i := range cs {
-			cs[i] = RandomBipolarBinary(rng, tc.dim)
-		}
-		ref := make([]float64, tc.k)
-		got := make([]float64, tc.k)
-		var refCtr, gotCtr Counter
-		for i, c := range cs {
-			ref[i] = HammingSimilarity(&refCtr, q, c)
-		}
-		HammingSimilarityK(&gotCtr, q, cs, got)
-		for i := range ref {
-			if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
-				t.Fatalf("k=%d dim=%d: sims[%d] = %v, want %v",
-					tc.k, tc.dim, i, got[i], ref[i])
-			}
-		}
-		if refCtr != gotCtr {
-			t.Fatalf("k=%d dim=%d: op counts diverge:\nfused: %v\nnaive: %v",
-				tc.k, tc.dim, &gotCtr, &refCtr)
-		}
-	}
-}
-
 // TestBinarySetHammingSimilarityKMatchesNaive checks the slab-layout k-way
 // Hamming kernel (the snapshot serving path) against the per-pair reference:
 // bit-identical similarities and identical op counts, across cluster counts
@@ -176,7 +144,7 @@ func TestBinarySetHammingSimilarityKMatchesNaive(t *testing.T) {
 		for i := range cs {
 			cs[i] = RandomBipolarBinary(rng, tc.dim)
 		}
-		set := NewBinarySet(cs)
+		set, _ := NewBinarySet(cs)
 		if set.Len() != tc.k || set.Dim() != tc.dim {
 			t.Fatalf("k=%d dim=%d: set reports %d×%d", tc.k, tc.dim, set.Len(), set.Dim())
 		}
@@ -206,7 +174,7 @@ func TestBinarySetIsACopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	q := RandomBipolarBinary(rng, 192)
 	cs := []*Binary{RandomBipolarBinary(rng, 192), RandomBipolarBinary(rng, 192)}
-	set := NewBinarySet(cs)
+	set, _ := NewBinarySet(cs)
 	before := make([]float64, 2)
 	set.HammingSimilarityK(nil, q, before)
 	cs[0].FlipBits([]int{0, 64, 128})
@@ -221,7 +189,7 @@ func TestBinarySetIsACopy(t *testing.T) {
 }
 
 func TestBinarySetEmpty(t *testing.T) {
-	set := NewBinarySet(nil)
+	set, _ := NewBinarySet(nil)
 	if set.Len() != 0 {
 		t.Fatalf("empty set Len = %d", set.Len())
 	}
@@ -235,7 +203,7 @@ func TestBinarySetEmpty(t *testing.T) {
 func TestBinarySetPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	cs := []*Binary{RandomBipolarBinary(rng, 64), RandomBipolarBinary(rng, 64)}
-	set := NewBinarySet(cs)
+	set, _ := NewBinarySet(cs)
 	for name, fn := range map[string]func(){
 		"query dim mismatch": func() { set.HammingSimilarityK(nil, NewBinary(65), make([]float64, 2)) },
 		"sims too short":     func() { set.HammingSimilarityK(nil, NewBinary(64), make([]float64, 1)) },

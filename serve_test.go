@@ -79,6 +79,42 @@ func TestPipelineEngineMatchesPipeline(t *testing.T) {
 	if y1 != want[0] {
 		t.Fatalf("engine Predict = %v, pipeline = %v", y1, want[0])
 	}
+
+	// Concurrent single-row serving is bit-identical to the published
+	// snapshot's Predict on the same standardized row.
+	snap, sc := e.Snapshot(), p.Scaler()
+	ref := make([]float64, 8)
+	for i := range ref {
+		row := append([]float64(nil), d.X[i]...)
+		if err := sc.TransformRow(row); err != nil {
+			t.Fatal(err)
+		}
+		y, err := snap.Predict(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[i] = sc.InverseY(y)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for it := 0; it < 50; it++ {
+				i := (g + it) % len(ref)
+				y, err := e.Predict(d.X[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if math.Float64bits(y) != math.Float64bits(ref[i]) {
+					t.Errorf("row %d: concurrent Engine.Predict %v, Snapshot.Predict %v", i, y, ref[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestEngineServeWhileTraining is the facade-level stress test: concurrent
