@@ -138,16 +138,6 @@ func BenchmarkEncode(b *testing.B) {
 			}
 		}
 	})
-	b.Run("packed-binary-direct-n32-D4096", func(b *testing.B) {
-		enc := benchEncoder(b, encoding.ProjBipolar)
-		dst := hdc.NewBinary(benchDim)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := enc.EncodeBinaryInto(nil, x, dst); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkSimilarityK measures the k-way cluster similarity stage (k=8,

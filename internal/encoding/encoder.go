@@ -22,22 +22,17 @@ type Encoder interface {
 }
 
 // BufferedEncoder is the optional zero-allocation contract fast encoders
-// provide on top of Encoder: every representation can be written into
-// caller-supplied buffers, so hot prediction paths pool their D-length
-// encode scratch (internal/core's prediction scratch does exactly that)
-// instead of allocating per call. Callers type-assert and fall back to the
+// provide on top of Encoder: the representations prediction needs can be
+// written into caller-supplied buffers, so hot prediction paths pool their
+// D-length encode scratch (internal/core's prediction scratch does exactly
+// that) instead of allocating per call. Callers type-assert and fall back to the
 // allocating Encoder methods when the encoder does not implement it.
 type BufferedEncoder interface {
 	Encoder
-	// EncodeInto writes the raw hypervector into dst (length D).
-	EncodeInto(ctr *hdc.Counter, x []float64, dst hdc.Vector) error
 	// EncodeBipolarInto writes the sign-quantized hypervector into dst.
 	EncodeBipolarInto(ctr *hdc.Counter, x []float64, dst hdc.Vector) error
 	// EncodeBothInto writes the raw and bipolar hypervectors in one pass.
 	EncodeBothInto(ctr *hdc.Counter, x []float64, raw, bipolar hdc.Vector) error
-	// EncodeBinaryInto writes the bit-packed quantized hypervector into dst
-	// (dimension D) without materializing the intermediate float vector.
-	EncodeBinaryInto(ctr *hdc.Counter, x []float64, dst *hdc.Binary) error
 }
 
 var (

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"reghd/internal/hdc"
 )
@@ -57,11 +56,6 @@ type Nonlinear struct {
 	// sign-selected add/sub kernel over 64×-smaller, cache-resident state —
 	// bit-for-bit identical to the dense multiply (see hdc.SignMatrix).
 	packed *hdc.SignMatrix
-
-	// pool recycles D-length projection scratch across Encode* calls that
-	// never hand the buffer to the caller (EncodeBinary's direct raw→packed
-	// path), so the binary serving path allocates nothing per encode.
-	pool sync.Pool
 }
 
 // NewNonlinear constructs an encoder for nFeatures-dimensional inputs into
@@ -122,12 +116,22 @@ func NewNonlinearProjection(rng *rand.Rand, nFeatures, dim int, bandwidth float6
 	default:
 		return nil, fmt.Errorf("encoding: unknown projection kind %d", kind)
 	}
-	e.center = make([]float64, dim)
 	for j := range e.bias {
 		e.bias[j] = rng.Float64() * 2 * math.Pi
-		e.center[j] = -math.Sin(e.bias[j]) / 2
 	}
+	e.center = centers(e.bias)
 	return e, nil
+}
+
+// centers derives the per-dimension constants center_j = −sin(b_j)/2 of the
+// Eq. 1 product from the biases. Construction and GobDecode both call it, so
+// a saved encoder and its reloaded copy hold the same bits.
+func centers(bias []float64) []float64 {
+	c := make([]float64, len(bias))
+	for j, b := range bias {
+		c[j] = -sin(b) / 2
+	}
+	return c
 }
 
 // Dim returns the hyperdimensional size D.
@@ -176,17 +180,6 @@ func (e *Nonlinear) checkDst(dst []float64) error {
 	return nil
 }
 
-// getBuf returns a pooled D-length projection scratch buffer.
-func (e *Nonlinear) getBuf() []float64 {
-	if v := e.pool.Get(); v != nil {
-		return *(v.(*[]float64))
-	}
-	return make([]float64, e.dim)
-}
-
-// putBuf returns a scratch buffer to the pool.
-func (e *Nonlinear) putBuf(b []float64) { e.pool.Put(&b) }
-
 // nonlinearize applies the Eq. 1 trigonometric nonlinearity in place over
 // the projection values: h_j ← cos(p_j + b_j)·sin(p_j) with p_j = h_j/bw,
 // computed through the product-to-sum identity
@@ -194,15 +187,15 @@ func (e *Nonlinear) putBuf(b []float64) { e.pool.Put(&b) }
 //	cos(p + b)·sin(p) = ½·sin(2p + b) − ½·sin(b)
 //
 // whose second term is the precomputed per-dimension center_j = −½·sin(b_j):
-// one trig evaluation per dimension instead of two. The op accounting stays
-// the canonical Eq. 1 form (two trig evaluations) by the hwmodel cost
-// contract — the identity is a software shortcut, not a cheaper algorithm
-// for the hardware targets.
+// one trig evaluation per dimension instead of two, through the branch-free
+// range-reduced sin (sin.go). The op accounting stays the canonical Eq. 1
+// form (two trig evaluations) by the hwmodel cost contract — the identity is
+// a software shortcut, not a cheaper algorithm for the hardware targets.
 func (e *Nonlinear) nonlinearize(ctr *hdc.Counter, h []float64) {
 	inv := 1 / e.bandwidth
 	for j, p := range h {
 		p *= inv
-		h[j] = 0.5*math.Sin(2*p+e.bias[j]) + e.center[j]
+		h[j] = 0.5*sin(2*p+e.bias[j]) + e.center[j]
 	}
 	d := uint64(e.dim)
 	ctr.Add(hdc.OpExp, 2*d) // cos + sin of the canonical form
@@ -211,15 +204,22 @@ func (e *Nonlinear) nonlinearize(ctr *hdc.Counter, h []float64) {
 	ctr.Add(hdc.OpMemWrite, d)
 }
 
+// signAt returns +1 when v >= c and −1 otherwise (NaN included), as a
+// compare-and-set rather than a branch: the outcome is a coin flip per
+// dimension, so a branch would mispredict on about half the components.
+func signAt(v, c float64) float64 {
+	var neg uint64
+	if !(v >= c) {
+		neg = 1
+	}
+	return math.Float64frombits(0x3ff0000000000000 | neg<<63) // ±1.0
+}
+
 // quantizeInto writes the centered-sign quantization S_j = sign(raw_j −
 // center_j) into dst (dst may alias raw for in-place quantization).
 func (e *Nonlinear) quantizeInto(ctr *hdc.Counter, dst, raw []float64) {
 	for j, v := range raw {
-		if v >= e.center[j] {
-			dst[j] = 1
-		} else {
-			dst[j] = -1
-		}
+		dst[j] = signAt(v, e.center[j])
 	}
 	ctr.Add(hdc.OpCmp, uint64(e.dim))
 }
@@ -239,11 +239,7 @@ func (e *Nonlinear) bipolarize(ctr *hdc.Counter, h []float64) {
 	bias, center := e.bias, e.center
 	for j, p := range h {
 		p *= inv
-		if 0.5*math.Sin(2*p+bias[j])+center[j] >= center[j] {
-			h[j] = 1
-		} else {
-			h[j] = -1
-		}
+		h[j] = signAt(0.5*sin(2*p+bias[j])+center[j], center[j])
 	}
 	d := uint64(e.dim)
 	ctr.Add(hdc.OpExp, 2*d) // cos + sin of the canonical form
@@ -256,16 +252,14 @@ func (e *Nonlinear) bipolarize(ctr *hdc.Counter, h []float64) {
 // Encode maps x into the raw (real-valued) hypervector H of Eq. 1.
 func (e *Nonlinear) Encode(ctr *hdc.Counter, x []float64) (hdc.Vector, error) {
 	h := make(hdc.Vector, e.dim)
-	if err := e.EncodeInto(ctr, x, h); err != nil {
+	if err := e.encodeInto(ctr, x, h); err != nil {
 		return nil, err
 	}
 	return h, nil
 }
 
-// EncodeInto is Encode writing into a caller-supplied D-length buffer, so
-// hot prediction paths can pool their encode scratch instead of allocating
-// per call.
-func (e *Nonlinear) EncodeInto(ctr *hdc.Counter, x []float64, dst hdc.Vector) error {
+// encodeInto is Encode writing into a caller-supplied D-length buffer.
+func (e *Nonlinear) encodeInto(ctr *hdc.Counter, x []float64, dst hdc.Vector) error {
 	if err := e.checkInput(x); err != nil {
 		return err
 	}
@@ -298,7 +292,7 @@ func (e *Nonlinear) EncodeBipolar(ctr *hdc.Counter, x []float64) (hdc.Vector, er
 // EncodeBipolarInto is EncodeBipolar writing into a caller-supplied
 // D-length buffer. The nonlinearity and the centered-sign threshold run as
 // one fused pass (see bipolarize); bits of the result and op charges are
-// identical to EncodeInto followed by the separate quantization.
+// identical to encodeInto followed by the separate quantization.
 func (e *Nonlinear) EncodeBipolarInto(ctr *hdc.Counter, x []float64, dst hdc.Vector) error {
 	if err := e.checkInput(x); err != nil {
 		return err
@@ -312,58 +306,15 @@ func (e *Nonlinear) EncodeBipolarInto(ctr *hdc.Counter, x []float64, dst hdc.Vec
 }
 
 // EncodeBinary maps x into the bit-packed binary hypervector S^b used by the
-// quantized similarity kernels (Section 3.1). Bit j is set exactly when
-// EncodeBipolar would produce +1.
+// quantized similarity kernels (Section 3.1): Pack(EncodeBipolar(x)), so bit
+// j is set exactly when EncodeBipolar would produce +1, and the op charges
+// are the two steps' sum.
 func (e *Nonlinear) EncodeBinary(ctr *hdc.Counter, x []float64) (*hdc.Binary, error) {
-	b := hdc.NewBinary(e.dim)
-	if err := e.EncodeBinaryInto(ctr, x, b); err != nil {
+	s, err := e.EncodeBipolar(ctr, x)
+	if err != nil {
 		return nil, err
 	}
-	return b, nil
-}
-
-// EncodeBinaryInto encodes x straight into a bit-packed hypervector: the
-// projection lands in pooled scratch and each component is thresholded
-// against center_j directly into the destination words, never materializing
-// the intermediate ±1 float vector. Bits are identical to
-// Pack(EncodeBipolar(x)) — both set bit j exactly when H_j >= center_j —
-// and the op charges equal the materializing path's (Encode + quantize +
-// Pack), keeping the hwmodel cost contract.
-func (e *Nonlinear) EncodeBinaryInto(ctr *hdc.Counter, x []float64, dst *hdc.Binary) error {
-	if err := e.checkInput(x); err != nil {
-		return err
-	}
-	if dst.Dim != e.dim {
-		return fmt.Errorf("encoding: destination has dim %d, encoder produces %d", dst.Dim, e.dim)
-	}
-	buf := e.getBuf()
-	defer e.putBuf(buf)
-	e.project(ctr, buf, x)
-	inv := 1 / e.bandwidth
-	words := dst.Words
-	for w := range words {
-		words[w] = 0
-	}
-	for j, p := range buf {
-		p *= inv
-		// The same identity-form H_j the materializing path computes, so the
-		// threshold decision is bit-identical to quantizeInto's.
-		if 0.5*math.Sin(2*p+e.bias[j])+e.center[j] >= e.center[j] {
-			words[j/64] |= 1 << uint(j%64)
-		}
-	}
-	// Charge what the materializing reference path charges after the
-	// projection: the nonlinearity (Encode), the centered-sign threshold
-	// (EncodeBipolar), and the bit-pack (hdc.Pack).
-	d := uint64(e.dim)
-	ctr.Add(hdc.OpExp, 2*d)
-	ctr.Add(hdc.OpFloatAdd, d)
-	ctr.Add(hdc.OpFloatMul, d)
-	ctr.Add(hdc.OpMemWrite, d)
-	ctr.Add(hdc.OpCmp, 2*d)
-	ctr.Add(hdc.OpMemRead, d)
-	ctr.Add(hdc.OpMemWrite, uint64(len(words)))
-	return nil
+	return hdc.Pack(ctr, s), nil
 }
 
 // EncodeBoth returns the raw hypervector H and its centered-sign bipolar
@@ -380,7 +331,7 @@ func (e *Nonlinear) EncodeBoth(ctr *hdc.Counter, x []float64) (raw, bipolar hdc.
 // EncodeBothInto is EncodeBoth writing into caller-supplied D-length
 // buffers.
 func (e *Nonlinear) EncodeBothInto(ctr *hdc.Counter, x []float64, raw, bipolar hdc.Vector) error {
-	if err := e.EncodeInto(ctr, x, raw); err != nil {
+	if err := e.encodeInto(ctr, x, raw); err != nil {
 		return err
 	}
 	if err := e.checkDst(bipolar); err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"math"
 
 	"reghd/internal/hdc"
 )
@@ -52,10 +51,7 @@ func (e *Nonlinear) GobDecode(data []byte) error {
 	e.bandwidth = st.Bandwidth
 	e.proj = st.Proj
 	e.bias = st.Bias
-	e.center = make([]float64, st.Dim)
-	for j, b := range st.Bias {
-		e.center[j] = -math.Sin(b) / 2
-	}
+	e.center = centers(e.bias)
 	// Re-derive the bit-packed projection: when every entry is ±1 (bipolar
 	// base hypervectors) the restored encoder runs the same sign-selected
 	// add/sub kernel as the one that was saved.

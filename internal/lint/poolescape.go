@@ -13,8 +13,8 @@ import (
 // never outlive the call by being returned or parked in a struct field —
 // the pool will hand the same object to another goroutine.
 //
-// The repo wraps its pools in tiny accessor pairs (scratchPool.get/put,
-// Nonlinear.getBuf/putBuf), so the analyzer classifies functions first:
+// The repo wraps its pools in tiny accessor pairs (scratchPool.get/put), so
+// the analyzer classifies functions first:
 //
 //   - a getter is an unexported function that hands a pool-obtained value
 //     to its caller (its returns are the pool plumbing, not an escape);
