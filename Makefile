@@ -113,12 +113,14 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=10s ./internal/dataset/
 	$(GO) test -fuzz=FuzzPackUnpack -fuzztime=10s ./internal/hdc/
 
-# Quick CI-friendly fuzz pass over the two differential encode targets: the
+# Quick CI-friendly fuzz pass over the differential encode targets: the
 # bit-packed sign projection must keep agreeing with the dense reference,
-# and the encoder's range-reduced sine with math.Sin.
+# the encoder's range-reduced sine with math.Sin, and every encoder's Into
+# forms with its Encode on arbitrary rows (NaN and ±Inf included).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzSignProject -fuzztime=20s ./internal/hdc/
 	$(GO) test -fuzz=FuzzSin -fuzztime=10s ./internal/encoding/
+	$(GO) test -fuzz=FuzzEncodeInto -fuzztime=10s ./internal/encoding/
 
 # Fault-injection chaos pass (docs/ROBUSTNESS.md): the serving-hardening
 # stress tests under the race detector — readers hammering an engine whose

@@ -62,9 +62,10 @@ func BenchmarkEncodeNonlinear(b *testing.B) {
 	for j := range x {
 		x[j] = rand.New(rand.NewSource(2)).NormFloat64()
 	}
+	dst := hdc.NewVector(enc.Dim())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := enc.EncodeBipolar(nil, x); err != nil {
+		if err := enc.EncodeBipolarInto(nil, x, dst); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -138,8 +138,8 @@ func (m *Model) Fit(train *dataset.Dataset) error {
 	}
 	encoded := make([]hdc.Vector, train.Len())
 	for i, x := range train.X {
-		s, err := m.enc.EncodeBipolar(m.TrainCounter, x)
-		if err != nil {
+		s := hdc.NewVector(m.enc.Dim())
+		if err := m.enc.EncodeBipolarInto(m.TrainCounter, x, s); err != nil {
 			return fmt.Errorf("baselinehd: encoding row %d: %w", i, err)
 		}
 		encoded[i] = s
@@ -178,8 +178,8 @@ func (m *Model) Predict(x []float64) (float64, error) {
 	if !m.trained {
 		return 0, ErrNotTrained
 	}
-	s, err := m.enc.EncodeBipolar(m.InferCounter, x)
-	if err != nil {
+	s := hdc.NewVector(m.enc.Dim())
+	if err := m.enc.EncodeBipolarInto(m.InferCounter, x, s); err != nil {
 		return 0, err
 	}
 	return m.binCenter(m.classify(m.InferCounter, s)), nil

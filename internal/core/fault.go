@@ -61,7 +61,7 @@ func (m *Model) Clone() *Model {
 		trained: m.trained,
 		samples: m.samples,
 		rng:     rand.New(rand.NewSource(m.cfg.Seed)),
-		scratch: newScratchPool(m.cfg.Models, m.dim, m.cfg.PredictMode.UsesRawQuery(), m.bufEnc != nil),
+		scratch: m.newScratchPool(),
 	}
 	c.clusters = cloneVectors(m.clusters)
 	c.clustersSet, c.clustersBin = hdc.NewBinarySet(m.clustersBin)

@@ -20,12 +20,6 @@ type params struct {
 	enc encoding.Encoder
 	dim int
 
-	// bufEnc is enc's zero-allocation view when the encoder provides one
-	// (non-nil exactly when enc implements encoding.BufferedEncoder).
-	// Prediction paths use it to encode into pooled scratch buffers; when
-	// nil they fall back to the allocating Encoder methods.
-	bufEnc encoding.BufferedEncoder
-
 	clusters    []hdc.Vector  // integer cluster hypervectors C_i
 	clustersBin []*hdc.Binary // binary shadows C_i^b (binary cluster modes)
 	models      []hdc.Vector  // integer regression hypervectors M_i
@@ -105,16 +99,14 @@ type Model struct {
 	Stages *StageTimes
 }
 
-// scratch is one prediction call's private workspace: cluster similarities,
-// softmax confidences, the D-length encode buffers (raw/bipolar/bit-packed
-// query representations, reused across calls via BufferedEncoder's Into
-// methods), and a local op counter that concurrent paths merge into an
+// scratch is one call's private workspace: cluster similarities, softmax
+// confidences, the D-length encode buffers that encode overwrites on every
+// call, and a local op counter that concurrent paths merge into an
 // AtomicCounter after the call.
 type scratch struct {
 	sims, conf []float64
-	raw, s     hdc.Vector  // raw is nil unless the mode reads the raw query
-	packed     *hdc.Binary // nil when the encoder is not buffered
-	ctr        hdc.Counter
+	encoded
+	ctr hdc.Counter
 }
 
 // scratchPool recycles scratch workspaces across prediction calls.
@@ -122,23 +114,19 @@ type scratchPool struct {
 	pool sync.Pool
 }
 
-// newScratchPool sizes the per-call workspaces: models similarity slots,
-// dim-length encode buffers (the raw buffer only for modes that read the
-// raw query), and a bit-packed query. buffered selects whether encode
-// buffers are allocated at all — without a BufferedEncoder they would sit
-// unused.
-func newScratchPool(models, dim int, needRaw, buffered bool) *scratchPool {
+// newScratchPool sizes the per-call workspaces for p's configuration: a
+// similarity slot per model, D-length encode buffers (the raw buffer only
+// for modes that read the raw query), and a bit-packed query.
+func (p *params) newScratchPool() *scratchPool {
+	models, dim, needRaw := p.cfg.Models, p.dim, p.cfg.PredictMode.UsesRawQuery()
 	return &scratchPool{pool: sync.Pool{New: func() any {
 		s := &scratch{
-			sims: make([]float64, models),
-			conf: make([]float64, models),
+			sims:    make([]float64, models),
+			conf:    make([]float64, models),
+			encoded: encoded{s: hdc.NewVector(dim), packed: hdc.NewBinary(dim)},
 		}
-		if buffered {
-			s.s = hdc.NewVector(dim)
-			s.packed = hdc.NewBinary(dim)
-			if needRaw {
-				s.raw = hdc.NewVector(dim)
-			}
+		if needRaw {
+			s.raw = hdc.NewVector(dim)
 		}
 		return s
 	}}}
@@ -155,18 +143,16 @@ func New(enc encoding.Encoder, cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	bufEnc, _ := enc.(encoding.BufferedEncoder)
 	m := &Model{
 		params: params{
 			cfg:    cfg,
 			enc:    enc,
-			bufEnc: bufEnc,
 			dim:    enc.Dim(),
 			calibA: 1,
 		},
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		scratch: newScratchPool(cfg.Models, enc.Dim(), cfg.PredictMode.UsesRawQuery(), bufEnc != nil),
+		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
+	m.scratch = m.newScratchPool()
 	m.models = make([]hdc.Vector, cfg.Models)
 	for i := range m.models {
 		m.models[i] = hdc.NewVector(m.dim)
@@ -239,52 +225,21 @@ type encoded struct {
 	packed *hdc.Binary // S bit-packed
 }
 
-// encode produces the representations of x required by the configuration.
-func (p *params) encode(ctr *hdc.Counter, x []float64) (encoded, error) {
-	var e encoded
+// encode writes the representations of x the configuration needs into the
+// encode buffers of sc: the returned encoded aliases sc, so it is only valid
+// until sc is returned to the pool. Every caller encodes here — prediction
+// and training alike — and a caller that keeps a representation past that
+// point copies it.
+func (p *params) encode(ctr *hdc.Counter, x []float64, sc *scratch) (encoded, error) {
 	if p.cfg.PredictMode.UsesRawQuery() {
-		raw, s, err := p.enc.EncodeBoth(ctr, x)
-		if err != nil {
+		if err := p.enc.EncodeBothInto(ctr, x, sc.raw, sc.s); err != nil {
 			return encoded{}, err
 		}
-		e.raw = raw
-		e.s = s
-	} else {
-		s, err := p.enc.EncodeBipolar(ctr, x)
-		if err != nil {
-			return encoded{}, err
-		}
-		e.s = s
+	} else if err := p.enc.EncodeBipolarInto(ctr, x, sc.s); err != nil {
+		return encoded{}, err
 	}
-	e.packed = hdc.Pack(ctr, e.s)
-	return e, nil
-}
-
-// encodeScratch is encode writing into the pooled per-call buffers of sc
-// instead of allocating: the returned encoded aliases sc, so it is only
-// valid until sc is returned to the pool. Results and op charges are
-// identical to encode (the BufferedEncoder contract); without a buffered
-// encoder it falls back to the allocating path.
-func (p *params) encodeScratch(ctr *hdc.Counter, x []float64, sc *scratch) (encoded, error) {
-	if p.bufEnc == nil || sc.packed == nil {
-		return p.encode(ctr, x)
-	}
-	var e encoded
-	if p.cfg.PredictMode.UsesRawQuery() {
-		if err := p.bufEnc.EncodeBothInto(ctr, x, sc.raw, sc.s); err != nil {
-			return encoded{}, err
-		}
-		e.raw = sc.raw
-		e.s = sc.s
-	} else {
-		if err := p.bufEnc.EncodeBipolarInto(ctr, x, sc.s); err != nil {
-			return encoded{}, err
-		}
-		e.s = sc.s
-	}
-	hdc.PackInto(ctr, sc.packed, e.s)
-	e.packed = sc.packed
-	return e, nil
+	hdc.PackInto(ctr, sc.packed, sc.s)
+	return sc.encoded, nil
 }
 
 // clusterSimilaritiesInto fills sims with the similarity of the encoded
@@ -371,7 +326,7 @@ func (p *params) predictRow(ctr *hdc.Counter, x []float64, sc *scratch, st *Stag
 		clk = &stageClock{st: st}
 		clk.read() // opens the encode interval
 	}
-	e, err := p.encodeScratch(ctr, x, sc)
+	e, err := p.encode(ctr, x, sc)
 	if err != nil {
 		return 0, err
 	}

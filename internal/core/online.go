@@ -1,6 +1,10 @@
 package core
 
-import "reghd/internal/hdc"
+import (
+	"fmt"
+
+	"reghd/internal/hdc"
+)
 
 // PartialFit performs one single-pass online update with the sample (x, y):
 // encode, predict, and apply the Eq. 7/8 updates. It is the streaming
@@ -29,7 +33,9 @@ func (m *Model) PartialFit(x []float64, y float64) error {
 	if err := ValidateTarget(y); err != nil {
 		return err
 	}
-	e, err := m.encode(m.TrainCounter, x)
+	sc := m.scratch.get()
+	defer m.scratch.put(sc)
+	e, err := m.encode(m.TrainCounter, x, sc)
 	if err != nil {
 		return err
 	}
@@ -43,17 +49,34 @@ func (m *Model) PartialFit(x []float64, y float64) error {
 // integer state and, for binary-model configurations, refreshes the output
 // calibration from the provided recent samples (pass nil to keep the
 // current calibration). Streaming callers should invoke it periodically.
+//
+// The samples are validated before any state changes, as in PartialFit: a
+// length mismatch returns hdc.ErrDimensionMismatch, and a NaN/Inf target or
+// a nil/wrong-length/non-finite row returns an error wrapping
+// ErrInvalidInput, with the model untouched. One non-finite target would
+// otherwise make the calibration offset, and so every later prediction,
+// non-finite.
 func (m *Model) RefreshShadows(xs [][]float64, ys []float64) error {
+	if len(xs) != len(ys) {
+		return hdc.ErrDimensionMismatch
+	}
+	for i, x := range xs {
+		if err := ValidateRow(x, m.enc.Features()); err != nil {
+			return fmt.Errorf("core: calibration row %d: %w", i, err)
+		}
+		if err := ValidateTarget(ys[i]); err != nil {
+			return fmt.Errorf("core: calibration row %d: %w", i, err)
+		}
+	}
 	m.refreshBinaryShadows(m.TrainCounter)
 	if !m.cfg.PredictMode.UsesBinaryModel() || len(xs) == 0 {
 		return nil
 	}
-	if len(xs) != len(ys) {
-		return hdc.ErrDimensionMismatch
-	}
+	sc := m.scratch.get()
+	defer m.scratch.put(sc)
 	var fit calibFit
 	for i, x := range xs {
-		e, err := m.encode(m.TrainCounter, x)
+		e, err := m.encode(m.TrainCounter, x, sc)
 		if err != nil {
 			return err
 		}

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
+
+	"reghd/internal/hdc"
 )
 
 func TestPartialFitLearnsStream(t *testing.T) {
@@ -96,5 +100,82 @@ func TestRefreshShadowsStreaming(t *testing.T) {
 	// nil samples keep current calibration but still re-pack shadows.
 	if err := m.RefreshShadows(nil, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRefreshShadowsRejectsBadInput checks that RefreshShadows validates
+// every calibration sample before it changes any state: a length mismatch
+// returns hdc.ErrDimensionMismatch, a bad row or target an error wrapping
+// ErrInvalidInput, and the learned state and predictions stay bit for bit
+// unchanged — shadows are not re-quantized and the calibration is not
+// refit.
+func TestRefreshShadowsRejectsBadInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	all := makeLinear(rng, 300, 3, 0.05)
+	cfg := Config{Models: 2, Epochs: 1, Seed: 7, PredictMode: PredictBinaryBoth, ClusterMode: ClusterBinary}
+	m := newModel(t, 3, 1000, cfg)
+	// Train, refresh once, then stream more samples so the shadows are
+	// stale: a refresh that ran before validation would show.
+	for i := 0; i < 200; i++ {
+		if err := m.PartialFit(all.X[i], all.Y[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.RefreshShadows(all.X[:50], all.Y[:50]); err != nil {
+		t.Fatal(err)
+	}
+	for i := 200; i < 300; i++ {
+		if err := m.PartialFit(all.X[i], all.Y[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fp := m.StateFingerprint()
+	probe := all.X[7]
+	before, err := m.Predict(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs, ys := all.X[:4], all.Y[:4]
+	withRow := func(i int, x []float64) [][]float64 {
+		bx := append([][]float64(nil), xs...)
+		bx[i] = x
+		return bx
+	}
+	for _, tc := range []struct {
+		name string
+		xs   [][]float64
+		ys   []float64
+		want error
+	}{
+		{"length mismatch", xs, ys[:3], hdc.ErrDimensionMismatch},
+		{"rows without targets", xs, nil, hdc.ErrDimensionMismatch},
+		{"+Inf target", xs, []float64{ys[0], ys[1], ys[2], math.Inf(1)}, ErrInvalidInput},
+		{"NaN target", xs, []float64{math.NaN(), ys[1], ys[2], ys[3]}, ErrInvalidInput},
+		{"NaN feature", withRow(1, []float64{0.1, math.NaN(), 0.3}), ys, ErrInvalidInput},
+		{"-Inf feature", withRow(2, []float64{math.Inf(-1), 0, 0}), ys, ErrInvalidInput},
+		{"nil row", withRow(0, nil), ys, ErrInvalidInput},
+		{"short row", withRow(0, []float64{1, 2}), ys, ErrInvalidInput},
+	} {
+		err := m.RefreshShadows(tc.xs, tc.ys)
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if got := m.StateFingerprint(); got != fp {
+			t.Fatalf("%s: rejected refresh changed the learned state", tc.name)
+		}
+		after, err := m.Predict(probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(after) != math.Float64bits(before) {
+			t.Fatalf("%s: rejected refresh moved a prediction %v -> %v", tc.name, before, after)
+		}
+	}
+	// The same samples without the defect are accepted and do refresh.
+	if err := m.RefreshShadows(xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	if m.StateFingerprint() == fp {
+		t.Fatal("a valid refresh left the stale shadows in place")
 	}
 }

@@ -125,12 +125,10 @@ func Load(r io.Reader) (*Model, error) {
 	if err := checkClusterShadows(st.Cfg, dim, st.ClustersBin); err != nil {
 		return nil, fmt.Errorf("%w: cluster shadows: %v", ErrCorruptModel, err)
 	}
-	bufEnc, _ := st.Encoder.(encoding.BufferedEncoder)
 	m := &Model{
 		params: params{
 			cfg:        st.Cfg,
 			enc:        st.Encoder,
-			bufEnc:     bufEnc,
 			dim:        dim,
 			clusters:   st.Clusters,
 			models:     st.Models,
@@ -142,8 +140,8 @@ func Load(r io.Reader) (*Model, error) {
 		trained: st.Trained,
 		samples: st.Samples,
 		rng:     rand.New(rand.NewSource(st.Cfg.Seed)),
-		scratch: newScratchPool(st.Cfg.Models, dim, st.Cfg.PredictMode.UsesRawQuery(), bufEnc != nil),
 	}
+	m.scratch = m.newScratchPool()
 	m.clustersSet, m.clustersBin = hdc.NewBinarySet(st.ClustersBin)
 	if m.cfg.Models > 1 {
 		m.sims = make([]float64, m.cfg.Models)

@@ -44,7 +44,7 @@ func (m *Model) Snapshot() *Snapshot {
 	s := &Snapshot{
 		params:  m.params,
 		trained: m.trained,
-		scratch: newScratchPool(m.cfg.Models, m.dim, m.cfg.PredictMode.UsesRawQuery(), m.bufEnc != nil),
+		scratch: m.newScratchPool(),
 	}
 	s.clusters = cloneVectors(m.clusters)
 	s.clustersSet, s.clustersBin = hdc.NewBinarySet(m.clustersBin)

@@ -59,11 +59,13 @@ func (m *Model) prepare(train *dataset.Dataset) (*trainCache, error) {
 	workers := clampWorkers(0, train.Len())
 	ctrs := workerCounters(m.TrainCounter, workers)
 	err := forEachRowParallelCtx(context.Background(), train.Len(), workers, func(w, i int) error {
-		e, err := m.encode(ctrs[w], train.X[i])
+		sc := m.scratch.get()
+		defer m.scratch.put(sc)
+		e, err := m.encode(ctrs[w], train.X[i], sc)
 		if err != nil {
 			return fmt.Errorf("core: encoding row %d: %w", i, err)
 		}
-		c.packed[i] = e.packed
+		c.packed[i] = e.packed.Clone()
 		if needRaw {
 			r := make([]float32, m.dim)
 			for j, v := range e.raw {

@@ -164,22 +164,6 @@ func (e *Nonlinear) project(ctr *hdc.Counter, out []float64, x []float64) {
 	hdc.ProjectDense(ctr, out, x, e.proj)
 }
 
-// checkInput validates the feature count of x.
-func (e *Nonlinear) checkInput(x []float64) error {
-	if len(x) != e.features {
-		return fmt.Errorf("encoding: input has %d features, encoder expects %d", len(x), e.features)
-	}
-	return nil
-}
-
-// checkDst validates a caller-supplied D-length destination buffer.
-func (e *Nonlinear) checkDst(dst []float64) error {
-	if len(dst) != e.dim {
-		return fmt.Errorf("encoding: destination has dim %d, encoder produces %d", len(dst), e.dim)
-	}
-	return nil
-}
-
 // nonlinearize applies the Eq. 1 trigonometric nonlinearity in place over
 // the projection values: h_j ← cos(p_j + b_j)·sin(p_j) with p_j = h_j/bw,
 // computed through the product-to-sum identity
@@ -251,19 +235,12 @@ func (e *Nonlinear) bipolarize(ctr *hdc.Counter, h []float64) {
 
 // Encode maps x into the raw (real-valued) hypervector H of Eq. 1.
 func (e *Nonlinear) Encode(ctr *hdc.Counter, x []float64) (hdc.Vector, error) {
-	h := make(hdc.Vector, e.dim)
-	if err := e.encodeInto(ctr, x, h); err != nil {
-		return nil, err
-	}
-	return h, nil
+	return encodeNew(e.dim, ctr, x, e.encodeInto)
 }
 
 // encodeInto is Encode writing into a caller-supplied D-length buffer.
 func (e *Nonlinear) encodeInto(ctr *hdc.Counter, x []float64, dst hdc.Vector) error {
-	if err := e.checkInput(x); err != nil {
-		return err
-	}
-	if err := e.checkDst(dst); err != nil {
+	if err := checkArgs(e.features, e.dim, x, dst); err != nil {
 		return err
 	}
 	e.project(ctr, dst, x)
@@ -271,8 +248,8 @@ func (e *Nonlinear) encodeInto(ctr *hdc.Counter, x []float64, dst hdc.Vector) er
 	return nil
 }
 
-// EncodeBipolar maps x into the quantized bipolar hypervector
-// S ∈ {−1,+1}^D used throughout training in the paper.
+// EncodeBipolarInto writes the quantized bipolar hypervector S ∈ {−1,+1}^D
+// used throughout training in the paper into dst.
 //
 // The Eq. 1 product expands to H_j = ½·sin(2·F·B_j + b_j) − ½·sin(b_j);
 // the second term is a constant shared by every input, so quantizing the raw
@@ -280,24 +257,12 @@ func (e *Nonlinear) encodeInto(ctr *hdc.Counter, x []float64, dst hdc.Vector) er
 // unrelated encodings correlated. We therefore quantize relative to that
 // per-dimension constant — S_j = sign(H_j − center_j) = sign(sin(2F·B_j+b_j))
 // — which keeps unrelated inputs nearly orthogonal while preserving the
-// local-similarity structure.
-func (e *Nonlinear) EncodeBipolar(ctr *hdc.Counter, x []float64) (hdc.Vector, error) {
-	h := make(hdc.Vector, e.dim)
-	if err := e.EncodeBipolarInto(ctr, x, h); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// EncodeBipolarInto is EncodeBipolar writing into a caller-supplied
-// D-length buffer. The nonlinearity and the centered-sign threshold run as
-// one fused pass (see bipolarize); bits of the result and op charges are
-// identical to encodeInto followed by the separate quantization.
+// local-similarity structure. The nonlinearity and the centered-sign
+// threshold run as one fused pass (see bipolarize); bits of the result and
+// op charges are identical to encodeInto followed by the separate
+// quantization.
 func (e *Nonlinear) EncodeBipolarInto(ctr *hdc.Counter, x []float64, dst hdc.Vector) error {
-	if err := e.checkInput(x); err != nil {
-		return err
-	}
-	if err := e.checkDst(dst); err != nil {
+	if err := checkArgs(e.features, e.dim, x, dst); err != nil {
 		return err
 	}
 	e.project(ctr, dst, x)
@@ -305,36 +270,13 @@ func (e *Nonlinear) EncodeBipolarInto(ctr *hdc.Counter, x []float64, dst hdc.Vec
 	return nil
 }
 
-// EncodeBinary maps x into the bit-packed binary hypervector S^b used by the
-// quantized similarity kernels (Section 3.1): Pack(EncodeBipolar(x)), so bit
-// j is set exactly when EncodeBipolar would produce +1, and the op charges
-// are the two steps' sum.
-func (e *Nonlinear) EncodeBinary(ctr *hdc.Counter, x []float64) (*hdc.Binary, error) {
-	s, err := e.EncodeBipolar(ctr, x)
-	if err != nil {
-		return nil, err
-	}
-	return hdc.Pack(ctr, s), nil
-}
-
-// EncodeBoth returns the raw hypervector H and its centered-sign bipolar
+// EncodeBothInto writes the raw hypervector H and its centered-sign bipolar
 // quantization S from a single projection pass.
-func (e *Nonlinear) EncodeBoth(ctr *hdc.Counter, x []float64) (raw, bipolar hdc.Vector, err error) {
-	raw = make(hdc.Vector, e.dim)
-	bipolar = make(hdc.Vector, e.dim)
-	if err := e.EncodeBothInto(ctr, x, raw, bipolar); err != nil {
-		return nil, nil, err
-	}
-	return raw, bipolar, nil
-}
-
-// EncodeBothInto is EncodeBoth writing into caller-supplied D-length
-// buffers.
 func (e *Nonlinear) EncodeBothInto(ctr *hdc.Counter, x []float64, raw, bipolar hdc.Vector) error {
 	if err := e.encodeInto(ctr, x, raw); err != nil {
 		return err
 	}
-	if err := e.checkDst(bipolar); err != nil {
+	if err := checkDst(e.dim, bipolar); err != nil {
 		return err
 	}
 	e.quantizeInto(ctr, bipolar, raw)

@@ -32,11 +32,11 @@ func TestNonlinearInputLengthChecked(t *testing.T) {
 	if _, err := e.Encode(nil, []float64{1, 2}); err == nil {
 		t.Fatal("accepted wrong input length")
 	}
-	if _, err := e.EncodeBipolar(nil, []float64{1, 2, 3, 4, 5}); err == nil {
+	if err := e.EncodeBipolarInto(nil, []float64{1, 2, 3, 4, 5}, hdc.NewVector(64)); err == nil {
 		t.Fatal("bipolar accepted wrong input length")
 	}
-	if _, err := e.EncodeBinary(nil, make([]float64, 3)); err == nil {
-		t.Fatal("binary accepted wrong input length")
+	if err := e.EncodeBothInto(nil, make([]float64, 3), hdc.NewVector(64), hdc.NewVector(64)); err == nil {
+		t.Fatal("both-forms accepted wrong input length")
 	}
 }
 
@@ -76,9 +76,9 @@ func TestNonlinearBipolarIsCenteredSignOfRaw(t *testing.T) {
 	e, _ := NewNonlinear(rng, 5, 200)
 	x := []float64{0.4, -0.1, 0.2, 0.8, -0.6}
 	raw, _ := e.Encode(nil, x)
-	bip, _ := e.EncodeBipolar(nil, x)
+	bip := bipolarOf(t, e, nil, x)
 	if !bip.IsBipolar() {
-		t.Fatal("EncodeBipolar output not bipolar")
+		t.Fatal("EncodeBipolarInto output not bipolar")
 	}
 	for j := range raw {
 		want := 1.0
@@ -91,16 +91,18 @@ func TestNonlinearBipolarIsCenteredSignOfRaw(t *testing.T) {
 	}
 }
 
+// TestNonlinearBinaryMatchesBipolar checks the bit-packed query the
+// quantized kernels read, hdc.Pack of the bipolar encoding: bit j is set
+// exactly where the raw encoding is at or above center_j.
 func TestNonlinearBinaryMatchesBipolar(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	e, _ := NewNonlinear(rng, 5, 333)
 	x := []float64{0.4, -0.1, 0.2, 0.8, -0.6}
-	bip, _ := e.EncodeBipolar(nil, x)
-	bin, _ := e.EncodeBinary(nil, x)
-	dense := hdc.Unpack(bin)
-	for j := range bip {
-		if bip[j] != dense[j] {
-			t.Fatalf("component %d: bipolar %v, binary %v", j, bip[j], dense[j])
+	raw, _ := e.Encode(nil, x)
+	bin := hdc.Pack(nil, bipolarOf(t, e, nil, x))
+	for j := range raw {
+		if bin.Bit(j) != (raw[j] >= e.center[j]) {
+			t.Fatalf("component %d: raw %v, center %v, bit %v", j, raw[j], e.center[j], bin.Bit(j))
 		}
 	}
 }
@@ -119,9 +121,9 @@ func TestSimilarityPreserving(t *testing.T) {
 		near[i] = base[i] + 0.02*rng.NormFloat64()
 		far[i] = 5 * rng.NormFloat64()
 	}
-	hb, _ := e.EncodeBipolar(nil, base)
-	hn, _ := e.EncodeBipolar(nil, near)
-	hf, _ := e.EncodeBipolar(nil, far)
+	hb := bipolarOf(t, e, nil, base)
+	hn := bipolarOf(t, e, nil, near)
+	hf := bipolarOf(t, e, nil, far)
 	simNear := hdc.Cosine(nil, hb, hn)
 	simFar := hdc.Cosine(nil, hb, hf)
 	if simNear < 0.7 {
@@ -149,9 +151,9 @@ func TestSimilarityMonotoneProperty(t *testing.T) {
 			small[i] = base[i] + 0.05*d
 			big[i] = base[i] + 2.0*d
 		}
-		hb, _ := e.EncodeBipolar(nil, base)
-		hs, _ := e.EncodeBipolar(nil, small)
-		hg, _ := e.EncodeBipolar(nil, big)
+		hb := bipolarOf(t, e, nil, base)
+		hs := bipolarOf(t, e, nil, small)
+		hg := bipolarOf(t, e, nil, big)
 		return hdc.Cosine(nil, hb, hs) > hdc.Cosine(nil, hb, hg)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -184,8 +186,8 @@ func TestBipolarProjectionVariant(t *testing.T) {
 	// The bipolar variant still preserves similarity for moderate n.
 	base := []float64{0.1, -0.2, 0.3, 0.4, -0.5, 0.6}
 	near := []float64{0.12, -0.18, 0.31, 0.41, -0.52, 0.58}
-	hb, _ := e.EncodeBipolar(nil, base)
-	hn, _ := e.EncodeBipolar(nil, near)
+	hb := bipolarOf(t, e, nil, base)
+	hn := bipolarOf(t, e, nil, near)
 	if hdc.Cosine(nil, hb, hn) < 0.5 {
 		t.Fatal("bipolar projection lost local similarity")
 	}
@@ -264,33 +266,43 @@ func TestPackedProjectionMatchesNaive(t *testing.T) {
 
 		cp.Reset()
 		cn.Reset()
-		sp, _ := ep.EncodeBipolar(&cp, x)
-		sn, _ := en.EncodeBipolar(&cn, x)
+		sp := bipolarOf(t, ep, &cp, x)
+		sn := bipolarOf(t, en, &cn, x)
 		for j := range sp {
 			if sp[j] != sn[j] {
 				t.Fatalf("n=%d D=%d: bipolar[%d] diverges", tc.n, tc.dim, j)
 			}
 		}
 		if cp != cn {
-			t.Fatalf("n=%d D=%d: EncodeBipolar op counts diverge", tc.n, tc.dim)
+			t.Fatalf("n=%d D=%d: EncodeBipolarInto op counts diverge", tc.n, tc.dim)
 		}
 
 		cp.Reset()
 		cn.Reset()
-		bp, _ := ep.EncodeBinary(&cp, x)
-		bn, _ := en.EncodeBinary(&cn, x)
-		if !bp.Equal(bn) {
-			t.Fatalf("n=%d D=%d: binary encodings diverge", tc.n, tc.dim)
+		rp, bp := hdc.NewVector(tc.dim), hdc.NewVector(tc.dim)
+		rn, bn := hdc.NewVector(tc.dim), hdc.NewVector(tc.dim)
+		if err := ep.EncodeBothInto(&cp, x, rp, bp); err != nil {
+			t.Fatal(err)
+		}
+		if err := en.EncodeBothInto(&cn, x, rn, bn); err != nil {
+			t.Fatal(err)
+		}
+		for j := range rp {
+			if math.Float64bits(rp[j]) != math.Float64bits(rn[j]) || bp[j] != bn[j] {
+				t.Fatalf("n=%d D=%d: EncodeBothInto diverges at %d", tc.n, tc.dim, j)
+			}
 		}
 		if cp != cn {
-			t.Fatalf("n=%d D=%d: EncodeBinary op counts diverge", tc.n, tc.dim)
+			t.Fatalf("n=%d D=%d: EncodeBothInto op counts diverge", tc.n, tc.dim)
 		}
 	}
 }
 
-// TestEncodeBinaryDirectMatchesMaterialized pins the binary contract:
-// EncodeBinary must produce the exact bits of Pack(EncodeBipolar) and charge
-// the identical op counts, for both projection kinds.
+// TestEncodeBinaryDirectMatchesMaterialized pins the fused bipolar path
+// against a materialized reference, for both projection kinds: the binary
+// query hdc.Pack(EncodeBipolarInto) must carry exactly the bits of the
+// centered sign of the raw Encode output, and the fused pass must charge
+// exactly Encode plus one compare per dimension.
 func TestEncodeBinaryDirectMatchesMaterialized(t *testing.T) {
 	for _, kind := range []Projection{ProjGaussian, ProjBipolar} {
 		e, err := NewNonlinearProjection(rand.New(rand.NewSource(13)), 7, 1000, 3, kind)
@@ -304,90 +316,23 @@ func TestEncodeBinaryDirectMatchesMaterialized(t *testing.T) {
 				x[i] = rng.NormFloat64()
 			}
 			var cDirect, cRef hdc.Counter
-			direct, err := e.EncodeBinary(&cDirect, x)
+			direct := hdc.Pack(nil, bipolarOf(t, e, &cDirect, x))
+			raw, err := e.Encode(&cRef, x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := e.EncodeBipolar(&cRef, x)
-			if err != nil {
-				t.Fatal(err)
+			cRef.Add(hdc.OpCmp, uint64(e.Dim()))
+			ref := hdc.NewBinary(e.Dim())
+			for j, v := range raw {
+				ref.SetBit(j, v >= e.center[j])
 			}
-			ref := hdc.Pack(&cRef, s)
 			if !direct.Equal(ref) {
-				t.Fatalf("kind=%v: direct binary encoding differs from Pack(EncodeBipolar)", kind)
+				t.Fatalf("kind=%v: fused binary encoding differs from the centered sign of Encode", kind)
 			}
 			if cDirect != cRef {
 				t.Fatalf("kind=%v: op counts diverge: direct %v, materialized %v", kind, &cDirect, &cRef)
 			}
 		}
-	}
-}
-
-// TestEncodeIntoMatchesAlloc checks every Into variant against its
-// allocating counterpart: same values, same op counts, and reusable
-// destination buffers.
-func TestEncodeIntoMatchesAlloc(t *testing.T) {
-	e, err := NewNonlinearProjection(rand.New(rand.NewSource(15)), 5, 200, 2, ProjBipolar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{0.3, -0.7, 1.1, 0.2, -0.4}
-	raw := make(hdc.Vector, 200)
-	bip := make(hdc.Vector, 200)
-
-	var cInto, cAlloc hdc.Counter
-	if err := e.encodeInto(&cInto, x, raw); err != nil {
-		t.Fatal(err)
-	}
-	h, _ := e.Encode(&cAlloc, x)
-	for j := range h {
-		if math.Float64bits(raw[j]) != math.Float64bits(h[j]) {
-			t.Fatalf("encodeInto diverges at %d", j)
-		}
-	}
-	if cInto != cAlloc {
-		t.Fatal("encodeInto op counts diverge from Encode")
-	}
-
-	cInto.Reset()
-	cAlloc.Reset()
-	if err := e.EncodeBipolarInto(&cInto, x, bip); err != nil {
-		t.Fatal(err)
-	}
-	s, _ := e.EncodeBipolar(&cAlloc, x)
-	for j := range s {
-		if bip[j] != s[j] {
-			t.Fatalf("EncodeBipolarInto diverges at %d", j)
-		}
-	}
-	if cInto != cAlloc {
-		t.Fatal("EncodeBipolarInto op counts diverge from EncodeBipolar")
-	}
-
-	cInto.Reset()
-	cAlloc.Reset()
-	if err := e.EncodeBothInto(&cInto, x, raw, bip); err != nil {
-		t.Fatal(err)
-	}
-	r2, s2, _ := e.EncodeBoth(&cAlloc, x)
-	for j := range r2 {
-		if math.Float64bits(raw[j]) != math.Float64bits(r2[j]) || bip[j] != s2[j] {
-			t.Fatalf("EncodeBothInto diverges at %d", j)
-		}
-	}
-	if cInto != cAlloc {
-		t.Fatal("EncodeBothInto op counts diverge from EncodeBoth")
-	}
-
-	// Destination validation.
-	if err := e.encodeInto(nil, x, make(hdc.Vector, 10)); err == nil {
-		t.Fatal("encodeInto accepted a wrong-size destination")
-	}
-	if err := e.EncodeBipolarInto(nil, x, make(hdc.Vector, 10)); err == nil {
-		t.Fatal("EncodeBipolarInto accepted a wrong-size destination")
-	}
-	if err := e.EncodeBothInto(nil, x, raw, make(hdc.Vector, 10)); err == nil {
-		t.Fatal("EncodeBothInto accepted a wrong-size bipolar destination")
 	}
 }
 

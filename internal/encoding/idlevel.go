@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"reghd/internal/hdc"
@@ -37,7 +38,7 @@ func NewIDLevel(rng *rand.Rand, nFeatures, dim, levels int, lo, hi float64) (*ID
 		return nil, fmt.Errorf("encoding: dim must be positive, got %d", dim)
 	case levels < 2:
 		return nil, fmt.Errorf("encoding: need at least 2 levels, got %d", levels)
-	case !(lo < hi):
+	case !(lo < hi) || math.IsInf(hi-lo, 0):
 		return nil, fmt.Errorf("encoding: invalid level range [%v, %v]", lo, hi)
 	}
 	e := &IDLevel{
@@ -81,7 +82,8 @@ func (e *IDLevel) Features() int { return e.features }
 func (e *IDLevel) Levels() int { return e.levels }
 
 // quantize maps a feature value to a level index, clamping out-of-range
-// values to the boundary levels.
+// values (±Inf included) to the boundary levels. encodeInto has already
+// rejected NaN, which no level represents.
 func (e *IDLevel) quantize(x float64) int {
 	if x <= e.lo {
 		return 0
@@ -98,10 +100,20 @@ func (e *IDLevel) quantize(x float64) int {
 
 // Encode maps x into the bundled (integer-valued) hypervector.
 func (e *IDLevel) Encode(ctr *hdc.Counter, x []float64) (hdc.Vector, error) {
-	if len(x) != e.features {
-		return nil, fmt.Errorf("encoding: input has %d features, encoder expects %d", len(x), e.features)
+	return encodeNew(e.dim, ctr, x, e.encodeInto)
+}
+
+// encodeInto is Encode writing into a caller-supplied D-length buffer.
+func (e *IDLevel) encodeInto(ctr *hdc.Counter, x []float64, h hdc.Vector) error {
+	if err := checkArgs(e.features, e.dim, x, h); err != nil {
+		return err
 	}
-	h := make(hdc.Vector, e.dim)
+	for k, v := range x {
+		if math.IsNaN(v) {
+			return fmt.Errorf("encoding: feature %d is NaN, which has no quantization level", k)
+		}
+	}
+	clear(h)
 	for k, v := range x {
 		lvl := e.lvls[e.quantize(v)]
 		id := e.ids[k]
@@ -115,42 +127,22 @@ func (e *IDLevel) Encode(ctr *hdc.Counter, x []float64) (hdc.Vector, error) {
 	ctr.Add(hdc.OpCmp, uint64(e.features)) // quantization
 	ctr.Add(hdc.OpMemRead, 2*n)
 	ctr.Add(hdc.OpMemWrite, uint64(e.dim))
-	return h, nil
+	return nil
 }
 
-// EncodeBipolar maps x into sign(H) ∈ {−1,+1}^D.
-func (e *IDLevel) EncodeBipolar(ctr *hdc.Counter, x []float64) (hdc.Vector, error) {
-	h, err := e.Encode(ctr, x)
-	if err != nil {
-		return nil, err
+// EncodeBipolarInto writes sign(H) ∈ {−1,+1}^D into dst, charging one
+// compare per dimension for the in-place threshold.
+func (e *IDLevel) EncodeBipolarInto(ctr *hdc.Counter, x []float64, dst hdc.Vector) error {
+	if err := e.encodeInto(ctr, x, dst); err != nil {
+		return err
 	}
-	for j, v := range h {
-		if v >= 0 {
-			h[j] = 1
-		} else {
-			h[j] = -1
-		}
-	}
+	hdc.SignInto(nil, dst, dst)
 	ctr.Add(hdc.OpCmp, uint64(e.dim))
-	return h, nil
+	return nil
 }
 
-// EncodeBinary maps x into the bit-packed quantized hypervector.
-func (e *IDLevel) EncodeBinary(ctr *hdc.Counter, x []float64) (*hdc.Binary, error) {
-	h, err := e.Encode(ctr, x)
-	if err != nil {
-		return nil, err
-	}
-	return hdc.Pack(ctr, h), nil
-}
-
-// EncodeBoth returns the raw bundled hypervector and its sign quantization
-// from a single encoding pass.
-func (e *IDLevel) EncodeBoth(ctr *hdc.Counter, x []float64) (raw, bipolar hdc.Vector, err error) {
-	raw, err = e.Encode(ctr, x)
-	if err != nil {
-		return nil, nil, err
-	}
-	bipolar = hdc.Sign(ctr, raw)
-	return raw, bipolar, nil
+// EncodeBothInto writes the raw bundled hypervector and its sign
+// quantization from a single encoding pass.
+func (e *IDLevel) EncodeBothInto(ctr *hdc.Counter, x []float64, raw, bipolar hdc.Vector) error {
+	return encodeBothInto(e.dim, ctr, x, raw, bipolar, e.encodeInto)
 }

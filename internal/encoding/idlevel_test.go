@@ -19,6 +19,11 @@ func TestNewIDLevelValidation(t *testing.T) {
 		{3, 10, 1, 0, 1},
 		{3, 10, 4, 1, 1},
 		{3, 10, 4, 2, 1},
+		{3, 10, 4, math.NaN(), 1},
+		{3, 10, 4, math.Inf(-1), 1},
+		// A width that overflows float64 would quantize finite inputs
+		// near hi to level int(Inf/Inf).
+		{3, 10, 4, -1e308, 1e308},
 	}
 	for i, c := range cases {
 		if _, err := NewIDLevel(rng, c.n, c.d, c.levels, c.lo, c.hi); err == nil {
@@ -67,9 +72,9 @@ func TestIDLevelSimilarityPreserving(t *testing.T) {
 	base := []float64{0.1, -0.5, 1.0, 0.0, -1.2}
 	near := []float64{0.15, -0.45, 1.05, 0.05, -1.15}
 	far := []float64{-1.8, 1.9, -1.5, 1.7, 1.9}
-	hb, _ := e.EncodeBipolar(nil, base)
-	hn, _ := e.EncodeBipolar(nil, near)
-	hf, _ := e.EncodeBipolar(nil, far)
+	hb := bipolarOf(t, e, nil, base)
+	hn := bipolarOf(t, e, nil, near)
+	hf := bipolarOf(t, e, nil, far)
 	if hdc.Cosine(nil, hb, hn) <= hdc.Cosine(nil, hb, hf) {
 		t.Fatal("ID-level encoding not similarity preserving")
 	}
@@ -81,11 +86,38 @@ func TestIDLevelInputLengthChecked(t *testing.T) {
 	if _, err := e.Encode(nil, []float64{1}); err == nil {
 		t.Fatal("accepted wrong input length")
 	}
-	if _, err := e.EncodeBipolar(nil, []float64{1, 2, 3, 4, 5}); err == nil {
+	if err := e.EncodeBipolarInto(nil, []float64{1, 2, 3, 4, 5}, hdc.NewVector(128)); err == nil {
 		t.Fatal("bipolar accepted wrong length")
 	}
-	if _, err := e.EncodeBinary(nil, []float64{1}); err == nil {
-		t.Fatal("binary accepted wrong length")
+	if err := e.EncodeBothInto(nil, []float64{1}, hdc.NewVector(128), hdc.NewVector(128)); err == nil {
+		t.Fatal("both-forms accepted wrong length")
+	}
+}
+
+// TestIDLevelRejectsNaN pins the NaN input check: NaN has no quantization
+// level, so every method returns an error instead of indexing the level
+// table with int(NaN). ±Inf still clamp to the end levels.
+func TestIDLevelRejectsNaN(t *testing.T) {
+	e, _ := NewIDLevel(rand.New(rand.NewSource(7)), 3, 128, 8, 0, 1)
+	nan := []float64{0.5, math.NaN(), 0.2}
+	if _, err := e.Encode(nil, nan); err == nil {
+		t.Fatal("Encode accepted a NaN feature")
+	}
+	if err := e.EncodeBipolarInto(nil, nan, hdc.NewVector(128)); err == nil {
+		t.Fatal("EncodeBipolarInto accepted a NaN feature")
+	}
+	if err := e.EncodeBothInto(nil, nan, hdc.NewVector(128), hdc.NewVector(128)); err == nil {
+		t.Fatal("EncodeBothInto accepted a NaN feature")
+	}
+	inf, err := e.Encode(nil, []float64{math.Inf(-1), math.Inf(1), 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends, _ := e.Encode(nil, []float64{0, 1, 0.5})
+	for j := range inf {
+		if inf[j] != ends[j] {
+			t.Fatalf("±Inf did not clamp to the end levels at %d", j)
+		}
 	}
 }
 
@@ -93,12 +125,11 @@ func TestIDLevelBinaryMatchesBipolar(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	e, _ := NewIDLevel(rng, 3, 200, 16, 0, 1)
 	x := []float64{0.2, 0.9, 0.5}
-	bip, _ := e.EncodeBipolar(nil, x)
-	bin, _ := e.EncodeBinary(nil, x)
-	dense := hdc.Unpack(bin)
-	for j := range bip {
-		if bip[j] != dense[j] {
-			t.Fatalf("component %d differs", j)
+	raw, _ := e.Encode(nil, x)
+	bin := hdc.Pack(nil, bipolarOf(t, e, nil, x))
+	for j := range raw {
+		if bin.Bit(j) != (raw[j] >= 0) {
+			t.Fatalf("component %d: raw %v, bit %v", j, raw[j], bin.Bit(j))
 		}
 	}
 }

@@ -46,48 +46,38 @@ func (e *Sequence) Window() int { return e.window }
 
 // Encode maps the flattened window into the bundled hypervector.
 func (e *Sequence) Encode(ctr *hdc.Counter, x []float64) (hdc.Vector, error) {
-	if len(x) != e.Features() {
-		return nil, fmt.Errorf("encoding: window input has %d values, want %d (%d steps × %d features)",
-			len(x), e.Features(), e.window, e.base.Features())
+	return encodeNew(e.Dim(), ctr, x, e.encodeInto)
+}
+
+// encodeInto is Encode writing into a caller-supplied D-length buffer. Each
+// step's bipolar encoding goes through one per-call step buffer.
+func (e *Sequence) encodeInto(ctr *hdc.Counter, x []float64, out hdc.Vector) error {
+	if err := checkArgs(e.Features(), e.Dim(), x, out); err != nil {
+		return err
 	}
+	clear(out)
 	n := e.base.Features()
-	out := hdc.NewVector(e.Dim())
+	step := hdc.NewVector(e.Dim())
 	for t := 0; t < e.window; t++ {
-		step, err := e.base.EncodeBipolar(ctr, x[t*n:(t+1)*n])
-		if err != nil {
-			return nil, fmt.Errorf("encoding: window step %d: %w", t, err)
+		if err := e.base.EncodeBipolarInto(ctr, x[t*n:(t+1)*n], step); err != nil {
+			return fmt.Errorf("encoding: window step %d: %w", t, err)
 		}
 		hdc.Add(ctr, out, hdc.Permute(ctr, step, t))
 	}
-	return out, nil
+	return nil
 }
 
-// EncodeBipolar maps the window into sign(H) ∈ {−1,+1}^D.
-func (e *Sequence) EncodeBipolar(ctr *hdc.Counter, x []float64) (hdc.Vector, error) {
-	h, err := e.Encode(ctr, x)
-	if err != nil {
-		return nil, err
+// EncodeBipolarInto writes the window's sign(H) ∈ {−1,+1}^D into dst.
+func (e *Sequence) EncodeBipolarInto(ctr *hdc.Counter, x []float64, dst hdc.Vector) error {
+	if err := e.encodeInto(ctr, x, dst); err != nil {
+		return err
 	}
-	return hdc.Sign(ctr, h), nil
+	hdc.SignInto(ctr, dst, dst)
+	return nil
 }
 
-// EncodeBinary maps the window into the bit-packed quantized hypervector.
-func (e *Sequence) EncodeBinary(ctr *hdc.Counter, x []float64) (*hdc.Binary, error) {
-	h, err := e.Encode(ctr, x)
-	if err != nil {
-		return nil, err
-	}
-	return hdc.Pack(ctr, h), nil
-}
-
-// EncodeBoth returns the raw bundled window encoding and its sign
+// EncodeBothInto writes the raw bundled window encoding and its sign
 // quantization.
-func (e *Sequence) EncodeBoth(ctr *hdc.Counter, x []float64) (raw, bipolar hdc.Vector, err error) {
-	raw, err = e.Encode(ctr, x)
-	if err != nil {
-		return nil, nil, err
-	}
-	return raw, hdc.Sign(ctr, raw), nil
+func (e *Sequence) EncodeBothInto(ctr *hdc.Counter, x []float64, raw, bipolar hdc.Vector) error {
+	return encodeBothInto(e.Dim(), ctr, x, raw, bipolar, e.encodeInto)
 }
-
-var _ Encoder = (*Sequence)(nil)

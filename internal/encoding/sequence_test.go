@@ -39,11 +39,11 @@ func TestSequenceInputLengthChecked(t *testing.T) {
 	if _, err := s.Encode(nil, make([]float64, 5)); err == nil {
 		t.Fatal("wrong window length accepted")
 	}
-	if _, err := s.EncodeBipolar(nil, make([]float64, 7)); err == nil {
+	if err := s.EncodeBipolarInto(nil, make([]float64, 7), hdc.NewVector(128)); err == nil {
 		t.Fatal("bipolar accepted wrong length")
 	}
-	if _, err := s.EncodeBinary(nil, make([]float64, 1)); err == nil {
-		t.Fatal("binary accepted wrong length")
+	if err := s.EncodeBothInto(nil, make([]float64, 1), hdc.NewVector(128), hdc.NewVector(128)); err == nil {
+		t.Fatal("both-forms accepted wrong length")
 	}
 }
 
@@ -53,9 +53,9 @@ func TestSequenceOrderSensitive(t *testing.T) {
 	s, _ := NewSequence(seqBase(t, 1, 8000), 2)
 	a := []float64{0.3, -0.8}
 	swapped := []float64{-0.8, 0.3}
-	ha, _ := s.EncodeBipolar(nil, a)
-	hb, _ := s.EncodeBipolar(nil, append([]float64(nil), a...))
-	hs, _ := s.EncodeBipolar(nil, swapped)
+	ha := bipolarOf(t, s, nil, a)
+	hb := bipolarOf(t, s, nil, append([]float64(nil), a...))
+	hs := bipolarOf(t, s, nil, swapped)
 	if math.Abs(hdc.Cosine(nil, ha, hb)-1) > 1e-12 {
 		t.Fatal("identical windows should encode identically")
 	}
@@ -70,9 +70,9 @@ func TestSequenceSimilarityPreserving(t *testing.T) {
 	base := []float64{0.1, -0.2, 0.5, 0.9}
 	near := []float64{0.1, -0.2, 0.5, 0.85}
 	far := []float64{-0.9, 0.8, -0.5, -0.1}
-	hb, _ := s.EncodeBipolar(nil, base)
-	hn, _ := s.EncodeBipolar(nil, near)
-	hf, _ := s.EncodeBipolar(nil, far)
+	hb := bipolarOf(t, s, nil, base)
+	hn := bipolarOf(t, s, nil, near)
+	hf := bipolarOf(t, s, nil, far)
 	if hdc.Cosine(nil, hb, hn) <= hdc.Cosine(nil, hb, hf) {
 		t.Fatal("sequence encoding not similarity preserving")
 	}
@@ -84,19 +84,9 @@ func TestSequenceSimilarityPreserving(t *testing.T) {
 func TestSequenceBinaryMatchesBipolar(t *testing.T) {
 	s, _ := NewSequence(seqBase(t, 2, 300), 3)
 	x := []float64{0.1, 0.2, -0.3, 0.4, 0.5, -0.6}
-	bip, err := s.EncodeBipolar(nil, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin, _ := s.EncodeBinary(nil, x)
-	dense := hdc.Unpack(bin)
-	for j := range bip {
-		if bip[j] != dense[j] {
-			t.Fatalf("component %d differs", j)
-		}
-	}
-	raw, bip2, err := s.EncodeBoth(nil, x)
-	if err != nil {
+	bin := hdc.Pack(nil, bipolarOf(t, s, nil, x))
+	raw, bip2 := hdc.NewVector(300), hdc.NewVector(300)
+	if err := s.EncodeBothInto(nil, x, raw, bip2); err != nil {
 		t.Fatal(err)
 	}
 	for j := range bip2 {
@@ -105,7 +95,10 @@ func TestSequenceBinaryMatchesBipolar(t *testing.T) {
 			want = -1
 		}
 		if bip2[j] != want {
-			t.Fatal("EncodeBoth bipolar is not sign of raw")
+			t.Fatal("EncodeBothInto bipolar is not sign of raw")
+		}
+		if bin.Bit(j) != (want > 0) {
+			t.Fatalf("component %d: binary bit disagrees with the sign of raw", j)
 		}
 	}
 }
@@ -114,8 +107,8 @@ func TestSequenceWindowOneMatchesBase(t *testing.T) {
 	base := seqBase(t, 3, 500)
 	s, _ := NewSequence(base, 1)
 	x := []float64{0.4, -0.1, 0.7}
-	want, _ := base.EncodeBipolar(nil, x)
-	got, _ := s.EncodeBipolar(nil, x)
+	want := bipolarOf(t, base, nil, x)
+	got := bipolarOf(t, s, nil, x)
 	if math.Abs(hdc.Cosine(nil, want, got)-1) > 1e-12 {
 		t.Fatal("window-1 sequence should match the base encoder")
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 
 	"reghd/internal/hdc"
 )
@@ -90,7 +91,7 @@ func (e *IDLevel) GobDecode(data []byte) error {
 		return fmt.Errorf("encoding: deserializing id-level encoder: %w", err)
 	}
 	switch {
-	case st.Dim <= 0 || st.Features <= 0 || st.Levels < 2 || !(st.Lo < st.Hi):
+	case st.Dim <= 0 || st.Features <= 0 || st.Levels < 2 || !(st.Lo < st.Hi) || math.IsInf(st.Hi-st.Lo, 0):
 		return fmt.Errorf("encoding: invalid id-level encoder state")
 	case len(st.IDs) != st.Features || len(st.Lvls) != st.Levels:
 		return fmt.Errorf("encoding: id-level table sizes %d/%d, want %d/%d", len(st.IDs), len(st.Lvls), st.Features, st.Levels)
@@ -104,9 +105,40 @@ func (e *IDLevel) GobDecode(data []byte) error {
 	return nil
 }
 
+// sequenceState is the wire form of a Sequence encoder; the per-step base
+// encoder travels as an interface value.
+type sequenceState struct {
+	Base   Encoder
+	Window int
+}
+
+// GobEncode implements gob.GobEncoder.
+func (e *Sequence) GobEncode() ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(sequenceState{Base: e.base, Window: e.window}); err != nil {
+		return nil, fmt.Errorf("encoding: serializing sequence encoder: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// GobDecode implements gob.GobDecoder.
+func (e *Sequence) GobDecode(data []byte) error {
+	var st sequenceState
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+		return fmt.Errorf("encoding: deserializing sequence encoder: %w", err)
+	}
+	s, err := NewSequence(st.Base, st.Window)
+	if err != nil {
+		return err
+	}
+	*e = *s
+	return nil
+}
+
 func init() {
 	// Register the concrete encoders so they can travel inside an
 	// encoding.Encoder interface field.
 	gob.Register(&Nonlinear{})
 	gob.Register(&IDLevel{})
+	gob.Register(&Sequence{})
 }

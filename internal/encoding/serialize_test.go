@@ -3,6 +3,7 @@ package encoding
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -24,8 +25,8 @@ func TestNonlinearGobRoundTrip(t *testing.T) {
 		t.Fatalf("restored shape wrong: %d/%d/%v", e2.Dim(), e2.Features(), e2.Bandwidth())
 	}
 	x := []float64{0.1, -0.2, 0.3, 0.4, -0.5}
-	a, _ := e1.EncodeBipolar(nil, x)
-	b, _ := e2.EncodeBipolar(nil, x)
+	a := bipolarOf(t, e1, nil, x)
+	b := bipolarOf(t, e2, nil, x)
 	for j := range a {
 		if a[j] != b[j] {
 			t.Fatal("restored encoder differs (centers not rebuilt?)")
@@ -89,8 +90,8 @@ func TestIDLevelGobRoundTrip(t *testing.T) {
 		t.Fatal("restored id-level shape wrong")
 	}
 	x := []float64{0.2, -0.7, 0.9}
-	a, _ := e1.EncodeBipolar(nil, x)
-	b, _ := e2.EncodeBipolar(nil, x)
+	a := bipolarOf(t, e1, nil, x)
+	b := bipolarOf(t, e2, nil, x)
 	for j := range a {
 		if a[j] != b[j] {
 			t.Fatal("restored id-level encoder differs")
@@ -136,5 +137,50 @@ func TestEncoderInterfaceGobRoundTrip(t *testing.T) {
 	}
 	if back.Dim() != 128 || back.Features() != 4 {
 		t.Fatal("interface round trip lost shape")
+	}
+}
+
+// TestSequenceGobRoundTrip sends Sequence encoders over both base kinds
+// through an Encoder interface value: the restored window encodes
+// bit-identically, and a state without a base or with a zero window is
+// rejected.
+func TestSequenceGobRoundTrip(t *testing.T) {
+	nl, _ := NewNonlinear(rand.New(rand.NewSource(5)), 2, 256)
+	idl, _ := NewIDLevel(rand.New(rand.NewSource(6)), 2, 256, 8, -1, 1)
+	x := []float64{0.3, -0.2, 0.8, 0.1, -0.6, 0.4}
+	for _, base := range []Encoder{nl, idl} {
+		s, err := NewSequence(base, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var enc Encoder = s
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&enc); err != nil {
+			t.Fatal(err)
+		}
+		var back Encoder
+		if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
+			t.Fatal(err)
+		}
+		if back.Dim() != 256 || back.Features() != 6 || back.(*Sequence).Window() != 3 {
+			t.Fatal("sequence round trip lost shape")
+		}
+		h1, _ := s.Encode(nil, x)
+		h2, _ := back.Encode(nil, x)
+		for j := range h1 {
+			if math.Float64bits(h1[j]) != math.Float64bits(h2[j]) {
+				t.Fatalf("restored sequence encoder diverges at %d", j)
+			}
+		}
+	}
+	for _, bad := range []sequenceState{{Base: nil, Window: 2}, {Base: nl, Window: 0}} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(bad); err != nil {
+			t.Fatal(err)
+		}
+		var s Sequence
+		if err := s.GobDecode(buf.Bytes()); err == nil {
+			t.Fatalf("corrupt sequence state %+v accepted", bad)
+		}
 	}
 }

@@ -133,10 +133,7 @@ func TestEncodeMatchesLibmReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bip, err := e.EncodeBipolar(nil, x)
-				if err != nil {
-					t.Fatal(err)
-				}
+				bip := bipolarOf(t, e, nil, x)
 				for j := range p {
 					p[j] = 0
 				}

@@ -132,15 +132,23 @@ func TestAXPYSelfDotIdentity(t *testing.T) {
 
 func TestSign(t *testing.T) {
 	v := Vector{-2, 0, 3.5, -0.001}
-	s := Sign(nil, v)
+	s := NewVector(len(v))
+	SignInto(nil, s, v)
 	want := Vector{-1, 1, 1, -1}
 	for i := range s {
 		if s[i] != want[i] {
-			t.Fatalf("Sign = %v, want %v", s, want)
+			t.Fatalf("SignInto = %v, want %v", s, want)
 		}
 	}
 	if !s.IsBipolar() {
-		t.Fatal("Sign output not bipolar")
+		t.Fatal("SignInto output not bipolar")
+	}
+	// In place (dst aliasing v) gives the same signs.
+	SignInto(nil, v, v)
+	for i := range v {
+		if v[i] != want[i] {
+			t.Fatalf("in-place SignInto = %v, want %v", v, want)
+		}
 	}
 }
 

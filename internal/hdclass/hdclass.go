@@ -106,8 +106,8 @@ func (c *Classifier) Fit(x [][]float64, labels []int) error {
 		if labels[i] < 0 || labels[i] >= c.cfg.Classes {
 			return fmt.Errorf("hdclass: label %d out of range [0,%d)", labels[i], c.cfg.Classes)
 		}
-		s, err := c.enc.EncodeBipolar(nil, row)
-		if err != nil {
+		s := hdc.NewVector(c.enc.Dim())
+		if err := c.enc.EncodeBipolarInto(nil, row, s); err != nil {
 			return fmt.Errorf("hdclass: encoding row %d: %w", i, err)
 		}
 		encoded[i] = s
@@ -171,8 +171,8 @@ func (c *Classifier) Scores(x []float64) ([]float64, error) {
 	if !c.trained {
 		return nil, ErrNotTrained
 	}
-	s, err := c.enc.EncodeBipolar(nil, x)
-	if err != nil {
+	s := hdc.NewVector(c.enc.Dim())
+	if err := c.enc.EncodeBipolarInto(nil, x, s); err != nil {
 		return nil, err
 	}
 	var packed *hdc.Binary

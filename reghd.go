@@ -98,7 +98,12 @@ var ErrNotTrained = core.ErrNotTrained
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // Encoder is the similarity-preserving map from feature vectors into
-// hyperdimensional space.
+// hyperdimensional space. Every encoder implements one contract: Dim and
+// Features report D and the input length n; Encode returns a freshly
+// allocated raw hypervector; EncodeBipolarInto writes the {−1,+1}^D
+// quantization into a caller-supplied D-length buffer; EncodeBothInto
+// writes both from one pass, bit-identical to the other two. A non-nil
+// counter argument accumulates the primitive operations.
 type Encoder = encoding.Encoder
 
 // NewEncoder builds the paper's Eq. 1 nonlinear encoder for nFeatures-

@@ -107,6 +107,44 @@ func TestEncoderConstructors(t *testing.T) {
 	}
 }
 
+// TestIDLevelRejectsNaNThroughFacade pins that a NaN feature reaching an
+// ID-level model through the public Pipeline and Model entry points returns
+// an error instead of panicking in the encoder's level lookup.
+func TestIDLevelRejectsNaNThroughFacade(t *testing.T) {
+	d, err := SyntheticDataset("airfoil", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := NewIDLevelEncoder(d.Features(), 512, 16, -3, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Epochs = 2
+	m, err := NewModel(enc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPipeline(m)
+	if _, err := p.Fit(d); err != nil {
+		t.Fatal(err)
+	}
+	row := append([]float64(nil), d.X[0]...)
+	if _, err := p.Predict(row); err != nil {
+		t.Fatal(err)
+	}
+	row[2] = math.NaN()
+	if _, err := p.Predict(row); err == nil {
+		t.Fatal("Pipeline.Predict accepted a NaN feature")
+	}
+	if _, err := p.PredictBatch([][]float64{d.X[1], row}); err == nil {
+		t.Fatal("Pipeline.PredictBatch accepted a NaN feature")
+	}
+	if _, err := m.Predict(row); err == nil {
+		t.Fatal("Model.Predict accepted a NaN feature")
+	}
+}
+
 func TestSyntheticDatasets(t *testing.T) {
 	names := SyntheticNames()
 	if len(names) != 7 {
